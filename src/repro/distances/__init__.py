@@ -23,11 +23,11 @@ from .frechet import (
     dfd_decision,
     dfd_matrix,
     dfd_matrix_by_search,
-    dfd_matrix_linear_space,
     dfd_matrix_recursive,
     discrete_frechet,
     frechet_path,
 )
+from .kernels import decide_batch, dfd_batch, pad_stack, verify_batch
 from .continuous_frechet import continuous_frechet, continuous_frechet_decision
 from .dtw import dtw, dtw_matrix
 from .lcss import lcss, lcss_distance_matrix, lcss_length_matrix, lcss_similarity_matrix
@@ -51,10 +51,11 @@ __all__ = [
     "continuous_frechet",
     "continuous_frechet_decision",
     "cross_ground_matrix",
+    "decide_batch",
+    "dfd_batch",
     "dfd_decision",
     "dfd_matrix",
     "dfd_matrix_by_search",
-    "dfd_matrix_linear_space",
     "dfd_matrix_recursive",
     "directed_hausdorff",
     "directed_hausdorff_matrix",
@@ -74,5 +75,7 @@ __all__ = [
     "lcss_length_matrix",
     "lcss_similarity_matrix",
     "lockstep_distance",
+    "pad_stack",
     "register_metric",
+    "verify_batch",
 ]

@@ -10,9 +10,8 @@ DFD equals the min-max weight over monotone staircase paths from cell
 ``(0, 0)`` to cell ``(n-1, m-1)`` of the ground distance matrix.  All
 implementations here work on that matrix:
 
-* :func:`dfd_matrix` -- row-scan dynamic program, the workhorse;
-* :func:`dfd_matrix_linear_space` -- same values, two rows of memory
-  (idea (ii) of GTM*, Section 5.5);
+* :func:`dfd_matrix` -- row-scan dynamic program keeping two rows of
+  memory (idea (ii) of GTM*, Section 5.5), the single-pair workhorse;
 * :func:`dfd_matrix_recursive` -- memoised literal recurrence, used as a
   correctness oracle in tests;
 * :func:`dfd_decision` -- vectorised reachability test ``DFD <= eps``;
@@ -21,7 +20,8 @@ implementations here work on that matrix:
   distance).
 
 :func:`discrete_frechet` is the public convenience entry point taking
-raw point arrays.
+raw point arrays.  Many-pair workloads use the stacked variants in
+:mod:`repro.distances.kernels`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ def _check_matrix(dmat: np.ndarray) -> np.ndarray:
     dmat = np.asarray(dmat, dtype=np.float64)
     if dmat.ndim != 2 or dmat.shape[0] == 0 or dmat.shape[1] == 0:
         raise TrajectoryError(f"distance matrix must be 2-D and non-empty; got {dmat.shape}")
+    if not np.isfinite(dmat).all():
+        raise TrajectoryError("ground distances contain NaN or inf")
     return dmat
 
 
@@ -55,16 +57,6 @@ def dfd_matrix(dmat: np.ndarray) -> float:
             cur[j] = row[j] if row[j] > best_prev else best_prev
         prev = cur
     return float(prev[-1])
-
-
-def dfd_matrix_linear_space(dmat: np.ndarray) -> float:
-    """Alias of :func:`dfd_matrix`; kept to document the O(m)-space claim.
-
-    The row-scan DP above already retains only the previous and current
-    rows, which is exactly idea (ii) of GTM* ("implement DFD computation
-    with O(n) space").  The alias exists so call sites can state intent.
-    """
-    return dfd_matrix(dmat)
 
 
 def dfd_matrix_recursive(dmat: np.ndarray) -> float:

@@ -17,6 +17,7 @@ that to keep per-figure timings honest.
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional
@@ -25,13 +26,18 @@ import numpy as np
 
 
 def fingerprint_array(arr: np.ndarray) -> str:
-    """Stable content hash of an ndarray (shape, dtype and bytes)."""
+    """Stable content hash of an ndarray (shape, dtype and bytes).
+
+    Interned: a corpus' fingerprints sit in every cache key built over
+    it, and re-fingerprinting the same corpus per request would
+    otherwise make each cached key hold its own copy of every string.
+    """
     arr = np.ascontiguousarray(arr)
     digest = hashlib.sha1()
     digest.update(repr(arr.shape).encode())
     digest.update(str(arr.dtype).encode())
     digest.update(arr.tobytes())
-    return digest.hexdigest()
+    return sys.intern(digest.hexdigest())
 
 
 def fingerprint_points(obj) -> str:

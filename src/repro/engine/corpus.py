@@ -157,6 +157,10 @@ def _tiled_join(engine, left, right, theta, metric, workers):
     )
     if not plan.sharded:
         return similarity_join(left, right, theta, metric)
+    # Reject non-finite input before any tile ships, as the serial
+    # path and the index builders do.
+    for items in (left, right):
+        _points_getter(items)
     tasks = [
         _worker.JoinTask(
             left=[left[i] for i in left_idx],
@@ -714,6 +718,7 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
                 "pruned_bbox": cascade_stats.pruned_bbox,
                 "pruned_hausdorff": cascade_stats.pruned_hausdorff,
                 "decisions": cascade_stats.decisions,
+                "accepted_upper": cascade_stats.accepted_upper,
                 "matches": cascade_stats.matches,
             }
         return clusters, info

@@ -15,8 +15,11 @@ lower-bound filters before the exact decision:
 3. **Hausdorff filter** -- every point of each trajectory appears in
    some coupled pair, hence both directed Hausdorff distances (and so
    their max) lower-bound the DFD;
-4. **exact decision** -- the vectorised reachability test
-   :func:`repro.distances.frechet.dfd_decision` at ``theta``.
+4. **exact decision** -- batched over blocks of surviving pairs
+   (:func:`repro.distances.kernels.verify_batch`): a pair whose
+   diagonal coupling stays within ``theta`` is accepted outright, the
+   rest run the vectorised reachability sweep
+   :func:`repro.distances.kernels.decide_batch` at ``theta``.
 
 Filters 1-2 are O(1)-ish, filter 3 needs the O(nm) ground matrix that
 step 4 reuses.  The bounding-box filter applies to every
@@ -32,8 +35,8 @@ simplifications with exact DFD error radii) plus endpoint-grid
 bucketing prune most pairs before any of the per-pair filters run.
 The pruning is admissible, so the *matches* are identical to the
 unindexed path; the filter statistics account the index's share in
-``pruned_index``.  :func:`join_pairs` is the candidate-list core the
-indexed paths (serial and engine-sharded) share, and
+``pruned_index``.  :func:`join_pairs` is the candidate-list core every
+join path (unindexed, indexed, serial and engine-sharded) shares, and
 :func:`scan_join_topk` the analogous core of the top-k closest-pair
 join :func:`join_top_k`.
 """
@@ -47,9 +50,11 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..distances.frechet import dfd_decision, dfd_matrix
+from ..distances.frechet import dfd_matrix
 from ..distances.ground import GroundMetric, get_metric
 from ..distances.hausdorff import directed_hausdorff_matrix
+from ..distances.kernels import VERIFY_BLOCK, verify_batch
+from ..errors import TrajectoryError
 from ..trajectory import Trajectory
 
 #: One top-k closest-pair entry: ``(distance, (left index, right index))``.
@@ -65,9 +70,12 @@ class JoinStats:
     pruned_endpoint: int = 0
     pruned_bbox: int = 0
     pruned_hausdorff: int = 0
+    #: Pairs that survived filters 1-3 and were decided exactly.
     decisions: int = 0
     matches: int = 0
     details: dict = field(default_factory=dict)
+    #: Of ``decisions``: accepted by the diagonal upper bound, no DP.
+    accepted_upper: int = 0
 
     @property
     def pruned_total(self) -> int:
@@ -93,16 +101,26 @@ def merge_join_stats(parts: Sequence[JoinStats]) -> JoinStats:
         total.pruned_bbox += part.pruned_bbox
         total.pruned_hausdorff += part.pruned_hausdorff
         total.decisions += part.decisions
+        total.accepted_upper += part.accepted_upper
         total.matches += part.matches
         total.details.update(part.details)
     return total
 
 
 def _points_getter(items: Sequence) -> Callable[[int], np.ndarray]:
-    """Adapt a trajectory sequence into an index -> points callable."""
+    """Adapt a trajectory sequence into an index -> points callable.
+
+    The join's one input check: non-finite coordinates raise
+    :class:`~repro.errors.TrajectoryError` here, before any pair is
+    examined -- the same error the indexed paths raise when their
+    summaries are built.
+    """
     arrays = [
         np.asarray(getattr(t, "points", t), dtype=np.float64) for t in items
     ]
+    for pts in arrays:
+        if not np.isfinite(pts).all():
+            raise TrajectoryError("points contain NaN or infinite coordinates")
     return lambda i: arrays[i]
 
 
@@ -124,53 +142,17 @@ def similarity_join(
     :class:`~repro.index.CorpusIndex` generates the candidate pairs
     first; the matches are identical (the index bounds are admissible)
     and the pairs it removed are accounted in ``stats.pruned_index``.
+    Without the index every pair is a candidate of :func:`join_pairs`.
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
     if index:
         return _indexed_join(left, right, theta, metric, offsets)
-    off_a, off_b = (int(offsets[0]), int(offsets[1]))
-    m = get_metric(metric)
-    lpts = [np.asarray(getattr(t, "points", t), dtype=np.float64) for t in left]
-    rpts = [np.asarray(getattr(t, "points", t), dtype=np.float64) for t in right]
-    lboxes = [_bbox(p) for p in lpts]
-    rboxes = [_bbox(p) for p in rpts]
-    stats = JoinStats(pairs_total=len(lpts) * len(rpts))
-    matches: List[Tuple[int, int]] = []
-    for a, p in enumerate(lpts):
-        for b, q in enumerate(rpts):
-            if _pair_cascade(p, q, lboxes[a], rboxes[b], theta, m, stats):
-                matches.append((a + off_a, b + off_b))
-    return matches, stats
-
-
-def _pair_cascade(p, q, box_p, box_q, theta, m, stats) -> bool:
-    """Filters 1-4 on one pair; updates ``stats``, True on a match."""
-    # Filter 1: endpoints.
-    if m.distance(p[0], q[0]) > theta or m.distance(p[-1], q[-1]) > theta:
-        stats.pruned_endpoint += 1
-        return False
-    # Filter 2: bounding boxes.  The closest-point construction is
-    # exact for every coordinate-monotone ground metric (Euclidean,
-    # Chebyshev); other metrics skip the filter.
-    if m.coordinate_monotone and _boxes_apart(box_p, box_q, theta, m):
-        stats.pruned_bbox += 1
-        return False
-    # Filter 3: symmetric Hausdorff from the shared matrix.
-    dmat = m.pairwise(p, q)
-    h = max(
-        directed_hausdorff_matrix(dmat),
-        directed_hausdorff_matrix(dmat.T),
-    )
-    if h > theta:
-        stats.pruned_hausdorff += 1
-        return False
-    # Filter 4: exact decision.
-    stats.decisions += 1
-    if dfd_decision(dmat, theta):
-        stats.matches += 1
-        return True
-    return False
+    get_left, get_right = _points_getter(left), _points_getter(right)
+    pairs = np.stack(np.divmod(
+        np.arange(len(left) * len(right)), max(len(right), 1)
+    ), axis=1)
+    return join_pairs(get_left, get_right, pairs, theta, metric, offsets)
 
 
 def join_pairs(
@@ -183,15 +165,21 @@ def join_pairs(
 ) -> Tuple[List[Tuple[int, int]], JoinStats]:
     """The filter cascade over an explicit candidate-pair list.
 
-    The core the indexed join paths share: the serial
-    ``similarity_join(index=True)`` and the engine's sharded pair
-    chunks both call it, so their cascade statistics are additive and
+    The core every join path shares: the serial ``similarity_join``
+    (all pairs, or the index's candidates) and the engine's pair
+    chunks all call it, so their cascade statistics are additive and
     identical for identical candidate sets.  ``get_left`` /
     ``get_right`` map collection indices to point arrays (inline lists
     or shared-memory transport slabs); ``pairs`` is an ``(m, 2)``
     iterable of collection index pairs.  ``stats.pairs_total`` counts
     only the candidates scanned here -- callers fold the index's own
     accounting on top.
+
+    Filters 1-3 run per pair; the pairs they cannot prune queue their
+    ground matrices for the verify stage, which settles them
+    :data:`~repro.distances.kernels.VERIFY_BLOCK` at a time
+    (:func:`~repro.distances.kernels.verify_batch`).  Matches keep the
+    order of ``pairs``.
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
@@ -201,17 +189,54 @@ def join_pairs(
     boxes_r: dict = {}
     stats = JoinStats(pairs_total=len(pairs))
     matches: List[Tuple[int, int]] = []
+    block_pairs: List[Tuple[int, int]] = []
+    block_mats: List[np.ndarray] = []
+
+    def verify_block() -> None:
+        match, upper = verify_batch(block_mats, theta)
+        stats.accepted_upper += int(upper.sum())
+        stats.matches += int(match.sum())
+        matches.extend(p for p, hit in zip(block_pairs, match) if hit)
+        block_pairs.clear()
+        block_mats.clear()
+
     for a, b in pairs:
         a, b = int(a), int(b)
         p, q = get_left(a), get_right(b)
-        box_p = boxes_l.get(a)
-        if box_p is None:
-            box_p = boxes_l[a] = _bbox(p)
-        box_q = boxes_r.get(b)
-        if box_q is None:
-            box_q = boxes_r[b] = _bbox(q)
-        if _pair_cascade(p, q, box_p, box_q, theta, m, stats):
-            matches.append((a + off_a, b + off_b))
+        # Filter 1: endpoints.
+        if m.distance(p[0], q[0]) > theta or m.distance(p[-1], q[-1]) > theta:
+            stats.pruned_endpoint += 1
+            continue
+        # Filter 2: bounding boxes.  The closest-point construction is
+        # exact for every coordinate-monotone ground metric (Euclidean,
+        # Chebyshev); other metrics skip the filter.
+        if m.coordinate_monotone:
+            box_p = boxes_l.get(a)
+            if box_p is None:
+                box_p = boxes_l[a] = _bbox(p)
+            box_q = boxes_r.get(b)
+            if box_q is None:
+                box_q = boxes_r[b] = _bbox(q)
+            if _boxes_apart(box_p, box_q, theta, m):
+                stats.pruned_bbox += 1
+                continue
+        # Filter 3: symmetric Hausdorff from the shared matrix.
+        dmat = m.pairwise(p, q)
+        h = max(
+            directed_hausdorff_matrix(dmat),
+            directed_hausdorff_matrix(dmat.T),
+        )
+        if h > theta:
+            stats.pruned_hausdorff += 1
+            continue
+        # Filter 4: exact decision, batched.
+        stats.decisions += 1
+        block_pairs.append((a + off_a, b + off_b))
+        block_mats.append(dmat)
+        if len(block_mats) == VERIFY_BLOCK:
+            verify_block()
+    if block_mats:
+        verify_block()
     return matches, stats
 
 

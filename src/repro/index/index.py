@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..distances.frechet import dfd_matrix
+from ..distances.kernels import dfd_pairs
 from ..distances.ground import GroundMetric, get_metric
 from ..errors import ReproError
 from ..trajectory import Trajectory
@@ -456,21 +457,34 @@ class CorpusIndex:
             lb = np.maximum(lb, m.rowwise(np.zeros_like(gaps), gaps))
         return lb
 
+    def simplification_bounds(
+        self, other: Optional["CorpusIndex"], a_idx, b_idx
+    ) -> np.ndarray:
+        """Triangle-inequality bounds ``DFD(A^, B^) - err(A) - err(B)``.
+
+        Vectorised over parallel index arrays: the small simplification
+        DPs of all pairs run stacked
+        (:func:`~repro.distances.kernels.dfd_pairs`).
+        """
+        other = self if other is None else other
+        a_idx = np.asarray(a_idx, dtype=np.int64)
+        b_idx = np.asarray(b_idx, dtype=np.int64)
+        simp_a = self.simplifications
+        simp_b = other.simplifications
+        core = dfd_pairs(
+            self.metric, [simp_a[i] for i in a_idx], [simp_b[j] for j in b_idx]
+        )
+        return (
+            core
+            - self.simplification_errors[a_idx]
+            - other.simplification_errors[b_idx]
+        )
+
     def simplification_bound(
         self, i: int, other: Optional["CorpusIndex"], j: int
     ) -> float:
-        """Triangle-inequality bound ``DFD(A^, B^) - err(A) - err(B)``."""
-        other = self if other is None else other
-        self.ensure_summaries()
-        other.ensure_summaries()
-        simp_a = self.simplifications[int(i)]
-        simp_b = other.simplifications[int(j)]
-        core = dfd_matrix(self.metric.pairwise(simp_a, simp_b))
-        return float(
-            core
-            - self.simplification_errors[int(i)]
-            - other.simplification_errors[int(j)]
-        )
+        """:meth:`simplification_bounds` of the single pair ``(i, j)``."""
+        return float(self.simplification_bounds(other, [int(i)], [int(j)])[0])
 
     def lower_bound(
         self, i: int, j: int, other: Optional["CorpusIndex"] = None
@@ -606,10 +620,9 @@ class CorpusIndex:
         if len(a_idx):
             self.ensure_summaries()
             peer.ensure_summaries()
-            keep_mask = np.ones(len(a_idx), dtype=bool)
-            for pos, (i, j) in enumerate(zip(a_idx, b_idx)):
-                if self.simplification_bound(int(i), other, int(j)) > theta:
-                    keep_mask[pos] = False
+            keep_mask = (
+                self.simplification_bounds(other, a_idx, b_idx) <= theta
+            )
             stats.pruned_simplification = int(np.sum(~keep_mask))
             a_idx, b_idx = a_idx[keep_mask], b_idx[keep_mask]
         out = np.stack([a_idx, b_idx], axis=1) if len(a_idx) else (

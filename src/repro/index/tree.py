@@ -55,6 +55,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..distances.frechet import dfd_matrix
+from ..distances.kernels import dfd_pairs
 from ..errors import ReproError
 
 #: Node fan-out and leaf capacity of the STR packing.  Eight keeps the
@@ -413,9 +414,8 @@ class TrajectoryTree:
         ``result[i] <= DFD(A, B)``.  Combines the endpoint-ball terms
         (any triangle-inequality metric) with the union-box and
         endpoint-hull gaps (coordinate-monotone metrics only), clamped
-        at zero.  The per-pair representative DP is *not* folded in --
-        that one is a Python-level call (:meth:`rep_pair_bound`)
-        reserved for surviving leaf pairs.
+        at zero.  The representative DP is *not* folded in -- that one
+        (:meth:`rep_pair_bounds`) is reserved for surviving leaf pairs.
         """
         na = np.asarray(na, dtype=np.int64)
         nb = np.asarray(nb, dtype=np.int64)
@@ -441,16 +441,23 @@ class TrajectoryTree:
                 lb = np.maximum(lb, m.rowwise(zeros, gaps))
         return np.maximum(lb, 0.0)
 
-    def rep_pair_bound(self, other: "TrajectoryTree", a: int, b: int) -> float:
-        """Representative-simplification bound for one node pair.
+    def rep_pair_bounds(self, other: "TrajectoryTree", na, nb) -> np.ndarray:
+        """Representative-simplification bound per node pair.
 
-        One small DP: ``DFD(R_a, R_b) - err_a - err_b`` lower-bounds the
-        DFD of every member pair by two triangle-inequality steps.
+        ``DFD(R_a, R_b) - err_a - err_b`` lower-bounds the DFD of every
+        member pair by two triangle-inequality steps; the small DPs of
+        all pairs run stacked (:func:`~repro.distances.kernels.dfd_pairs`).
         """
-        core = float(dfd_matrix(self.metric.pairwise(
-            self.rep(int(a)), other.rep(int(b))
-        )))
-        return core - float(self.rep_err[a]) - float(other.rep_err[b])
+        na = np.asarray(na, dtype=np.int64)
+        nb = np.asarray(nb, dtype=np.int64)
+        core = dfd_pairs(
+            self.metric, [self.rep(a) for a in na], [other.rep(b) for b in nb]
+        )
+        return core - self.rep_err[na] - other.rep_err[nb]
+
+    def rep_pair_bound(self, other: "TrajectoryTree", a: int, b: int) -> float:
+        """:meth:`rep_pair_bounds` of the single node pair ``(a, b)``."""
+        return float(self.rep_pair_bounds(other, [int(a)], [int(b)])[0])
 
     def query_lower_bounds(self, query: QuerySummary, nodes) -> np.ndarray:
         """Vectorised admissible lower bound of ``DFD(query, T)`` over
@@ -500,10 +507,11 @@ class TrajectoryTree:
         pass, pairs proved apart (``bound > theta``, strict -- ties
         survive) are dropped with their entire item-pair blocks, and
         surviving leaf-leaf pairs emit their item cross products after
-        one representative DP each.  Returns parallel ``(a, b)`` item
-        index arrays; ``stats`` (an :class:`IndexStats`) picks up
-        ``nodes_visited`` / ``nodes_pruned`` / ``leaves_scanned`` and
-        the pruned item-pair count lands in ``pruned_grid``.
+        their representative DPs (one stacked batch per level).  Returns
+        parallel ``(a, b)`` item index arrays; ``stats`` (an
+        :class:`IndexStats`) picks up ``nodes_visited`` /
+        ``nodes_pruned`` / ``leaves_scanned`` and the pruned item-pair
+        count lands in ``pruned_grid``.
         """
         na = np.zeros(1, dtype=np.int64)
         nb = np.zeros(1, dtype=np.int64)
@@ -525,16 +533,15 @@ class TrajectoryTree:
             leaf_a = self.child_hi[na] == self.child_lo[na]
             leaf_b = other.child_hi[nb] == other.child_lo[nb]
             both = leaf_a & leaf_b
-            for pa, pb in zip(na[both], nb[both]):
-                pa, pb = int(pa), int(pb)
-                block = int(
-                    (self.item_hi[pa] - self.item_lo[pa])
-                    * (other.item_hi[pb] - other.item_lo[pb])
-                )
-                if self.rep_pair_bound(other, pa, pb) > theta:
-                    stats.nodes_pruned += 1
-                    stats.pruned_grid += block
-                    continue
+            leaves_a, leaves_b = na[both], nb[both]
+            far = self.rep_pair_bounds(other, leaves_a, leaves_b) > theta
+            if far.any():
+                stats.nodes_pruned += int(far.sum())
+                stats.pruned_grid += int(np.sum(
+                    self.item_counts(leaves_a[far])
+                    * other.item_counts(leaves_b[far])
+                ))
+            for pa, pb in zip(leaves_a[~far], leaves_b[~far]):
                 stats.leaves_scanned += 1
                 items_a = self.node_items(pa)
                 items_b = other.node_items(pb)

@@ -31,7 +31,9 @@ exposition format.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import os
+import signal
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -73,6 +75,27 @@ DEFAULT_CELLS = 2048
 CLAIM_TIMEOUT = 5.0
 
 
+@contextlib.contextmanager
+def _sigterm_deferred():
+    """Hold SIGTERM back from the calling thread; delivered on exit.
+
+    ``ProcessPoolExecutor`` SIGTERMs every worker of a broken pool.  One
+    that dies inside the slot claim orphans the slot-table semaphore,
+    and every process that claims after it loses its metrics (see
+    :data:`CLAIM_TIMEOUT`).  A single-threaded pool worker cannot be
+    terminated while the signal is blocked, so it finishes the claim and
+    releases the semaphore first.
+    """
+    if not hasattr(signal, "pthread_sigmask"):  # pragma: no cover
+        yield
+        return
+    old = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, old)
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -94,6 +117,9 @@ class _LocalPids:
 
     def get_lock(self):
         return self._lock
+
+    def get_obj(self) -> List[int]:
+        return self._data
 
     def __getitem__(self, i: int) -> int:
         return self._data[i]
@@ -284,6 +310,10 @@ class MetricsRegistry:
         return self._slot * self._cells
 
     def _claim_slot(self, pid: int) -> int:
+        with _sigterm_deferred():
+            return self._claim_slot_locked(pid)
+
+    def _claim_slot_locked(self, pid: int) -> int:
         lock = self._pids.get_lock()
         if not lock.acquire(timeout=CLAIM_TIMEOUT):
             # The semaphore is orphaned: its holder died mid-claim (a
@@ -332,26 +362,38 @@ class MetricsRegistry:
                 self._values[base + cell] = 0.0
 
     # -- merged reads -----------------------------------------------
+    def _live_slots(self) -> List[Tuple[int, int]]:
+        """``(slot, pid)`` of every claimed slot whose process lives.
+
+        Reads the pid table through the raw array, without its lock:
+        a process that died holding that lock (mid-claim) would
+        otherwise hang every later read.  Each pid is one aligned
+        8-byte word written whole, so a racing claim is seen either
+        before or after -- the same answer a locked read could give.
+        """
+        pids = list(self._pids.get_obj())
+        return [
+            (s, int(pids[s])) for s in range(1, self._slots)
+            if pids[s] and _pid_alive(pids[s])
+        ]
+
     def _cell_value(self, cell: int, *, live_only: bool = False) -> float:
         if not live_only:
             return sum(
                 self._values[s * self._cells + cell]
                 for s in range(self._slots)
             )
-        total = 0.0
-        for s in range(1, self._slots):
-            pid = self._pids[s]
-            if pid and _pid_alive(pid):
-                total += self._values[s * self._cells + cell]
-        return total
+        return sum(
+            (self._values[s * self._cells + cell]
+             for s, _ in self._live_slots()),
+            0.0,
+        )
 
     def _cell_per_process(self, cell: int) -> Dict[int, float]:
-        out: Dict[int, float] = {}
-        for s in range(1, self._slots):
-            pid = self._pids[s]
-            if pid and _pid_alive(pid):
-                out[int(pid)] = self._values[s * self._cells + cell]
-        return out
+        return {
+            pid: self._values[s * self._cells + cell]
+            for s, pid in self._live_slots()
+        }
 
     # -- registration -----------------------------------------------
     def _alloc(self, cells: int) -> int:

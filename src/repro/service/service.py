@@ -195,6 +195,7 @@ def _encode_join_stats(stats) -> dict:
         "pruned_bbox": int(stats.pruned_bbox),
         "pruned_hausdorff": int(stats.pruned_hausdorff),
         "decisions": int(stats.decisions),
+        "accepted_upper": int(stats.accepted_upper),
         "matches": int(stats.matches),
         "details": stats.details,
     }

@@ -266,6 +266,64 @@ class TestForkSharedRegistry:
         assert counter.value() == 1
 
 
+    def test_sigterm_mid_claim_does_not_orphan_the_slot_table(self):
+        # ProcessPoolExecutor SIGTERMs every worker of a broken pool; a
+        # worker caught inside its slot claim must release the slot
+        # table before it dies, or every later process loses metrics.
+        reg = MetricsRegistry(slots=4, cells=16)
+        counter = reg.counter("t_sigterm_total", "mid-claim SIGTERM probe")
+        lock = reg._pids.get_lock()
+
+        def claim_under_sigterm():
+            real_acquire = lock.acquire
+
+            def acquire(*args, **kwargs):
+                got = real_acquire(*args, **kwargs)
+                os.kill(os.getpid(), signal.SIGTERM)  # lands mid-claim
+                return got
+
+            lock.acquire = acquire
+            counter.inc()
+
+        victim = FORK.Process(target=claim_under_sigterm)
+        victim.start()
+        victim.join(10)
+        assert victim.exitcode == -signal.SIGTERM
+        assert lock.acquire(timeout=2.0), "slot table left locked"
+        lock.release()
+
+    def test_live_reads_survive_an_orphaned_pid_lock(self):
+        # Gauge reads and per-process reads (ServiceFleet.stats()) scan
+        # the pid table; a process that died holding its lock must not
+        # hang them -- they read a lock-free snapshot instead.
+        reg = MetricsRegistry(slots=4, cells=16)
+        gauge = reg.gauge("t_held_depth", "orphaned-lock probe")
+        counter = reg.counter("t_held_total", "orphaned-lock probe")
+        gauge.set(3)
+        counter.inc(2)
+
+        def die_holding():
+            reg._pids.get_lock().acquire()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        holder = FORK.Process(target=die_holding)
+        holder.start()
+        holder.join(10)
+        assert holder.exitcode == -signal.SIGKILL
+
+        out = []
+        reader = threading.Thread(
+            target=lambda: out.append(
+                (gauge.value(), counter.per_process())
+            ),
+            daemon=True,
+        )
+        reader.start()
+        reader.join(10)
+        assert not reader.is_alive(), "live read blocked on the pid lock"
+        assert out == [(3.0, {os.getpid(): 2.0})]
+
+
 # ----------------------------------------------------------------------
 # Trace records and the JSONL sink
 # ----------------------------------------------------------------------
