@@ -286,7 +286,9 @@ class CacheKeyPurityRule(Rule):
         "planner cache-key functions may not read time, randomness, "
         "the environment, or perform I/O"
     )
-    paths = ("repro/engine/planner.py", "repro/engine/cache.py")
+    #: ``trajectory.py`` holds the fingerprint formula itself.
+    paths = ("repro/engine/planner.py", "repro/engine/cache.py",
+             "repro/trajectory/trajectory.py")
 
     _BANNED_PREFIXES = (
         "time.", "random.", "secrets.", "uuid.", "datetime.",

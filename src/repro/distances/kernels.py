@@ -4,15 +4,15 @@ The scalar kernels in :mod:`repro.distances.frechet` verify one pair
 per call; a corpus operation that verifies thousands of small pairs
 pays the interpreter overhead of every row (decision) or every cell
 (full DP) once *per pair*.  The kernels here run the same recurrences
-once per row or cell for a whole stack of ``B`` pairs, with every
-NumPy call working on all ``B`` pairs at once:
+once per row or anti-diagonal for a whole stack of ``B`` pairs, with
+every NumPy call working on all ``B`` pairs at once:
 
 * :func:`decide_batch` -- :func:`~repro.distances.frechet.dfd_decision`'s
   row-reachability sweep, ``DFD <= theta`` per pair;
 * :func:`dfd_batch` -- :func:`~repro.distances.frechet.dfd_matrix`'s
-  row recurrence, the exact DFD per pair;
+  recurrence as an anti-diagonal wavefront, the exact DFD per pair;
 * :func:`dfd_pairs` -- :func:`dfd_batch` over point-array pairs, in
-  bounded stacks;
+  stacks bounded by cell count;
 * :func:`verify_batch` -- the join's verify stage: pairs whose
   diagonal coupling stays within ``theta`` are accepted without a DP,
   :func:`decide_batch` settles the rest.
@@ -35,7 +35,7 @@ nothing.
 from __future__ import annotations
 
 import time
-from typing import Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,10 +56,12 @@ __all__ = [
 #: blocks raise every worker's peak memory for little more throughput.
 VERIFY_BLOCK = 32
 
-#: Most pairs :func:`dfd_pairs` stacks into one :func:`dfd_batch` call,
-#: so a large candidate list never materialises all its ground matrices
-#: at once (4096 pairs of 8-point summaries are 2 MB).
-DFD_BLOCK = 4096
+#: Most padded ground-matrix cells :func:`dfd_pairs` stacks into one
+#: :func:`dfd_batch` call (1 MB of float64, plus as much again for the
+#: wavefront's diagonal-ordered copy), so a long candidate list never
+#: materialises all its ground matrices at once: 2048 pairs of 8-point
+#: summaries, or 36 pairs of 60-point trajectories.
+DFD_CELLS = 1 << 17
 
 #: Registered at import time -- before any pool fork -- so every
 #: worker observes into the same fork-shared cells.
@@ -195,34 +197,66 @@ def decide_batch(dmats, ends, theta: float) -> np.ndarray:
 def dfd_batch(dmats, ends) -> np.ndarray:
     """Exact DFD of every pair of the stack, ``(B,)`` float64.
 
-    The row recurrence ``cur[j] = max(row[j], min(prev[j-1], prev[j],
-    cur[j-1]))`` of :func:`~repro.distances.frechet.dfd_matrix`, with
-    each cell update one NumPy call over all ``B`` pairs.  The stack is
-    transposed to ``(N, M, B)`` so every per-cell vector is contiguous.
+    :func:`~repro.distances.frechet.dfd_matrix`'s recurrence
+    ``D[i, j] = max(c[i, j], min(D[i-1, j-1], D[i-1, j], D[i, j-1]))``
+    evaluated as an anti-diagonal wavefront: every cell of diagonal
+    ``d = i + j`` depends only on diagonals ``d - 1`` and ``d - 2``, so
+    a whole diagonal of all ``B`` pairs is three NumPy calls.  The
+    stack is first gathered in (diagonal, row) order into one
+    ``(N*M, B)`` array, so each diagonal is a contiguous slice.
+    Diagonals are kept indexed by row, shifted by one so that row
+    ``-1`` (and every cell off a diagonal's own range) reads ``inf``.
+    A pair's value is read when the wavefront reaches its own last
+    cell.
     """
     dmats, ends = _check_stack(dmats, ends)
     started = time.perf_counter()
     count, n_rows, n_cols = dmats.shape
     out = np.empty(count)
-    rows_end, cols_end = ends[:, 0], ends[:, 1]
-    cells = np.ascontiguousarray(dmats.transpose(1, 2, 0))
-    prev = np.maximum.accumulate(cells[0], axis=0)
-    cur = np.empty_like(prev)
-    best = np.empty((max(n_cols - 1, 0), count))
-    for i in range(n_rows):
-        if i:
-            row = cells[i]
-            np.minimum(prev[:-1], prev[1:], out=best)
-            np.maximum(row[0], prev[0], out=cur[0])
-            for j in range(1, n_cols):
-                np.minimum(best[j - 1], cur[j - 1], out=cur[j])
-                np.maximum(row[j], cur[j], out=cur[j])
-            prev, cur = cur, prev
-        done = np.flatnonzero(rows_end == i)
-        if len(done):
-            out[done] = prev[cols_end[done], done]
+    last = ends.sum(axis=1)
+    n_diags = int(last.max(initial=-1)) + 1
+    finish: Dict[int, List[int]] = {}
+    for b, d in enumerate(last.tolist()):
+        finish.setdefault(d, []).append(b)
+    # Cells in (diagonal, row) order: a stable sort of the flat (row-
+    # major) cell indices by diagonal keeps rows ascending within one.
+    diagonal = np.add.outer(np.arange(n_rows), np.arange(n_cols)).ravel()
+    order = np.argsort(diagonal, kind="stable")
+    at = np.searchsorted(diagonal[order], np.arange(n_diags + 1)).tolist()
+    skew = dmats.reshape(count, n_rows * n_cols).T[order]
+    # Three rotating diagonals; a buffer is only ever written inside its
+    # diagonal's row range, so the rows read as "off the diagonal" were
+    # never written and still hold inf.
+    diags = np.full((3, n_rows + 1, count), np.inf)
+    best = np.empty((n_rows, count))
+    for d in range(n_diags):
+        new, prev, prev2 = diags[d % 3], diags[(d - 1) % 3], diags[(d - 2) % 3]
+        lo, hi = max(0, d - n_cols + 1), min(d, n_rows - 1) + 1
+        if d:
+            tmp = best[: hi - lo]
+            np.minimum(prev2[lo:hi], prev[lo:hi], out=tmp)
+            np.minimum(tmp, prev[lo + 1 : hi + 1], out=tmp)
+            np.maximum(skew[at[d] : at[d + 1]], tmp, out=new[lo + 1 : hi + 1])
+        else:
+            new[1] = skew[0]
+        done = finish.get(d)
+        if done:
+            out[done] = new[ends[done, 0] + 1, done]
     _observe("dfd_batch", started, count)
     return out
+
+
+def _stack_slices(left, right, cells: int):
+    """Consecutive ``[lo, hi)`` runs whose padded stacks fit ``cells``."""
+    lo, n_max, m_max = 0, 0, 0
+    for k in range(len(left)):
+        n, m = max(n_max, len(left[k])), max(m_max, len(right[k]))
+        if k > lo and (k - lo + 1) * n * m > cells:
+            yield lo, k
+            lo, n, m = k, len(left[k]), len(right[k])
+        n_max, m_max = n, m
+    if lo < len(left):
+        yield lo, len(left)
 
 
 def dfd_pairs(metric, left: Sequence[np.ndarray],
@@ -230,12 +264,12 @@ def dfd_pairs(metric, left: Sequence[np.ndarray],
     """Exact DFD of every ``(left[k], right[k])`` point-array pair.
 
     Ground matrices come from ``metric.pairwise`` -- the same values
-    the scalar path computes -- and are settled :data:`DFD_BLOCK`
-    pairs per :func:`dfd_batch` call.
+    the scalar path computes -- and are settled in consecutive stacks
+    of at most :data:`DFD_CELLS` padded cells per :func:`dfd_batch`
+    call (a single pair larger than that gets a stack of its own).
     """
     out = np.empty(len(left))
-    for lo in range(0, len(left), DFD_BLOCK):
-        hi = min(lo + DFD_BLOCK, len(left))
+    for lo, hi in _stack_slices(left, right, DFD_CELLS):
         out[lo:hi] = dfd_batch(*pad_stack([
             metric.pairwise(left[k], right[k]) for k in range(lo, hi)
         ]))

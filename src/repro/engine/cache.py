@@ -16,32 +16,24 @@ that to keep per-figure timings honest.
 
 from __future__ import annotations
 
-import hashlib
-import sys
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional
 
 import numpy as np
 
-
-def fingerprint_array(arr: np.ndarray) -> str:
-    """Stable content hash of an ndarray (shape, dtype and bytes).
-
-    Interned: a corpus' fingerprints sit in every cache key built over
-    it, and re-fingerprinting the same corpus per request would
-    otherwise make each cached key hold its own copy of every string.
-    """
-    arr = np.ascontiguousarray(arr)
-    digest = hashlib.sha1()
-    digest.update(repr(arr.shape).encode())
-    digest.update(str(arr.dtype).encode())
-    digest.update(arr.tobytes())
-    return sys.intern(digest.hexdigest())
+from ..trajectory.trajectory import Trajectory, fingerprint_array
 
 
 def fingerprint_points(obj) -> str:
-    """Fingerprint a Trajectory / raw point array by its coordinates."""
+    """Fingerprint a Trajectory / raw point array by its coordinates.
+
+    A :class:`Trajectory` hands back the fingerprint it computed once
+    (its points are immutable); raw arrays and subtrajectory views are
+    hashed on every call.  Both give equal points the same key.
+    """
+    if isinstance(obj, Trajectory):
+        return obj.fingerprint
     points = getattr(obj, "points", obj)
     return fingerprint_array(np.asarray(points, dtype=np.float64))
 

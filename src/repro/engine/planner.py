@@ -153,8 +153,13 @@ def topk_result_key(traj_a, traj_b, metric, min_length: int, k: int) -> tuple:
 
 
 def corpus_fingerprint(trajectories: Sequence) -> tuple:
-    """Order-sensitive content fingerprint of a trajectory collection."""
-    return tuple(fingerprint_points(t) for t in trajectories)
+    """Order-sensitive content fingerprint of a trajectory collection.
+
+    Each :class:`~repro.trajectory.Trajectory` contributes the
+    fingerprint it computed once, so a resident corpus costs one
+    attribute read per item, not a hash of its points.
+    """
+    return tuple(map(fingerprint_points, trajectories))
 
 
 def normalize_index_mode(index):

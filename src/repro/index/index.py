@@ -56,7 +56,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..distances.frechet import dfd_matrix
 from ..distances.kernels import dfd_pairs
 from ..distances.ground import GroundMetric, get_metric
 from ..errors import ReproError
@@ -335,19 +334,20 @@ class CorpusIndex:
     # ------------------------------------------------------------------
     # Simplification summaries
     # ------------------------------------------------------------------
-    def _summary_for(
+    def _simplify(
         self, pts: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """One trajectory's Douglas-Peucker summary and exact DFD error.
+    ) -> np.ndarray:
+        """One trajectory's Douglas-Peucker summary.
 
         The tolerance starts at ``simplify_frac`` of the bounding-box
         diagonal and doubles until the summary fits
         ``max_simplification_points`` -- noisy curves keep too many
         points at the geometric tolerance, and summary cost is
-        quadratic in summary size at query time.  The returned error is
-        the *exact* discrete Frechet error of the kept simplification,
-        not the geometric epsilon: one small (n x k) DP makes the
-        triangle-inequality bound admissible by construction.
+        quadratic in summary size at query time.  The error stored with
+        a summary is the *exact* discrete Frechet distance to it, not
+        the geometric epsilon: one small ``(n x k)`` DP per summary
+        (run stacked, :func:`~repro.distances.kernels.dfd_pairs`) makes
+        the triangle-inequality bound admissible by construction.
         """
         diag = float(np.linalg.norm(hi - lo))
         eps = self.simplify_frac * diag
@@ -358,21 +358,18 @@ class CorpusIndex:
         while simp.shape[0] > self.max_simplification_points:
             eps *= 2.0
             simp = douglas_peucker(traj, eps).points
-        err = float(dfd_matrix(self.metric.pairwise(pts, simp)))
-        return simp, err
+        return simp
 
     def ensure_summaries(self) -> None:
         """Build the Douglas-Peucker summaries (idempotent)."""
         if self._simplified is not None:
             return
-        simplified: List[np.ndarray] = []
-        errors = np.zeros(self.n)
-        for i, pts in enumerate(self._points):
-            simp, err = self._summary_for(pts, self.box_lo[i], self.box_hi[i])
-            simplified.append(simp)
-            errors[i] = err
+        simplified = [
+            self._simplify(pts, self.box_lo[i], self.box_hi[i])
+            for i, pts in enumerate(self._points)
+        ]
+        self._simp_errors = dfd_pairs(self.metric, self._points, simplified)
         self._simplified = simplified
-        self._simp_errors = errors
         self.summary_builds += self.n
 
     def summarize_query(self, trajectory) -> QuerySummary:
@@ -389,7 +386,7 @@ class CorpusIndex:
             )
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
-        simp, err = self._summary_for(pts, lo, hi)
+        simp = self._simplify(pts, lo, hi)
         return QuerySummary(
             points=pts,
             start=pts[0],
@@ -397,7 +394,7 @@ class CorpusIndex:
             box_lo=lo,
             box_hi=hi,
             simplification=simp,
-            error=err,
+            error=float(dfd_pairs(self.metric, [pts], [simp])[0]),
         )
 
     def ensure_tree(self, fanout: int = DEFAULT_FANOUT) -> TrajectoryTree:
@@ -678,6 +675,46 @@ class CorpusIndex:
     # ------------------------------------------------------------------
     # Single-query traversals
     # ------------------------------------------------------------------
+    def _query_bounds(
+        self, q: QuerySummary, items: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(endpoint, endpoint + box)`` lower bounds from ``q`` to items."""
+        m = self.metric
+        lb_end = np.maximum(
+            m.rowwise(np.repeat(q.start[None, :], len(items), axis=0),
+                      self.starts[items]),
+            m.rowwise(np.repeat(q.end[None, :], len(items), axis=0),
+                      self.ends[items]),
+        )
+        if not m.coordinate_monotone:
+            return lb_end, lb_end
+        gaps = np.maximum(
+            0.0,
+            np.maximum(self.box_lo[items] - q.box_hi,
+                       q.box_lo - self.box_hi[items]),
+        )
+        return lb_end, np.maximum(lb_end, m.rowwise(np.zeros_like(gaps), gaps))
+
+    def _query_simplification_bounds(
+        self, q: QuerySummary, items: np.ndarray
+    ) -> np.ndarray:
+        """``DFD(q^, A^) - err(q) - err(A)`` per item, DPs stacked."""
+        simps = self.simplifications
+        core = dfd_pairs(
+            self.metric,
+            [q.simplification] * len(items),
+            [simps[i] for i in items],
+        )
+        return core - q.error - self.simplification_errors[items]
+
+    def _query_dfds(self, q: QuerySummary, items) -> np.ndarray:
+        """Exact ``DFD(q, A)`` per item, DPs stacked."""
+        return dfd_pairs(
+            self.metric,
+            [q.points] * len(items),
+            [self._points[i] for i in items],
+        )
+
     def range_scan(
         self, query, radius: float, *, use_tree: bool = True
     ) -> Tuple[List[Tuple[int, float]], IndexStats]:
@@ -689,64 +726,35 @@ class CorpusIndex:
         leaves through the flat filter cascade; without it the scan is
         the brute-force reference (one exact DP per trajectory), which
         the property suite holds the tree path byte-identical to --
-        every pruned subtree provably lies beyond ``radius``.
+        every pruned subtree provably lies beyond ``radius``.  Each
+        stage's DPs run stacked over all of its candidates.
         """
         if radius < 0:
             raise ReproError("radius must be non-negative")
-        m = self.metric
         stats = IndexStats()
         stats.pairs_total = self.n
         q = self.summarize_query(query)
-        matches: List[Tuple[int, float]] = []
-        if not use_tree:
-            stats.candidates = self.n
-            for i, pts in enumerate(self._points):
-                dist = float(dfd_matrix(m.pairwise(q.points, pts)))
-                if dist <= radius:
-                    matches.append((i, dist))
-            return matches, stats
-        built_before = self.summary_builds
-        cand = self.ensure_tree().range_candidates(q, radius, stats)
-        if len(cand):
-            q_start = np.repeat(q.start[None, :], len(cand), axis=0)
-            q_end = np.repeat(q.end[None, :], len(cand), axis=0)
-            lb_end = np.maximum(
-                m.rowwise(q_start, self.starts[cand]),
-                m.rowwise(q_end, self.ends[cand]),
-            )
-            lb = lb_end
-            if m.coordinate_monotone:
-                gaps = np.maximum(
-                    0.0,
-                    np.maximum(
-                        self.box_lo[cand] - q.box_hi,
-                        q.box_lo - self.box_hi[cand],
-                    ),
-                )
-                lb = np.maximum(lb, m.rowwise(np.zeros_like(gaps), gaps))
-            keep = lb <= radius
-            stats.pruned_endpoint = int(np.sum(lb_end > radius))
-            stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
-            cand = cand[keep]
-        if len(cand):
-            self.ensure_summaries()
-            errs = self.simplification_errors
-            keep_mask = np.ones(len(cand), dtype=bool)
-            for pos, i in enumerate(cand):
-                core = float(dfd_matrix(m.pairwise(
-                    q.simplification, self.simplifications[int(i)]
-                )))
-                if core - q.error - float(errs[int(i)]) > radius:
-                    keep_mask[pos] = False
-            stats.pruned_simplification = int(np.sum(~keep_mask))
-            cand = cand[keep_mask]
-        stats.summary_builds = self.summary_builds - built_before
+        if use_tree:
+            built_before = self.summary_builds
+            cand = self.ensure_tree().range_candidates(q, radius, stats)
+            if len(cand):
+                lb_end, lb = self._query_bounds(q, cand)
+                keep = lb <= radius
+                stats.pruned_endpoint = int(np.sum(lb_end > radius))
+                stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
+                cand = cand[keep]
+            if len(cand):
+                self.ensure_summaries()
+                keep = self._query_simplification_bounds(q, cand) <= radius
+                stats.pruned_simplification = int(np.sum(~keep))
+                cand = cand[keep]
+            stats.summary_builds = self.summary_builds - built_before
+            cand = cand.tolist()
+        else:
+            cand = list(range(self.n))
         stats.candidates = len(cand)
-        for i in cand:
-            dist = float(dfd_matrix(m.pairwise(q.points, self._points[int(i)])))
-            if dist <= radius:
-                matches.append((int(i), dist))
-        return matches, stats
+        dists = self._query_dfds(q, cand).tolist()
+        return [(i, d) for i, d in zip(cand, dists) if d <= radius], stats
 
     def knn_scan(
         self, query, k: int, *, use_tree: bool = True
@@ -763,20 +771,15 @@ class CorpusIndex:
         """
         if k <= 0:
             raise ReproError("k must be positive")
-        m = self.metric
         stats = IndexStats()
         stats.pairs_total = self.n
         q = self.summarize_query(query)
         if not use_tree:
             stats.candidates = self.n
-            entries = sorted(
-                (float(dfd_matrix(m.pairwise(q.points, pts))), i)
-                for i, pts in enumerate(self._points)
-            )
-            return entries[:k], stats
+            dists = self._query_dfds(q, range(self.n)).tolist()
+            return sorted(zip(dists, range(self.n)))[:k], stats
         built_before = self.summary_builds
         self.ensure_summaries()
-        errs = self.simplification_errors
         tree = self.ensure_tree()
         # Max-heap of the best k so far, keyed (-distance, -index): the
         # root is the *worst* retained entry under the canonical
@@ -805,47 +808,34 @@ class CorpusIndex:
             if tree.is_leaf(node):
                 stats.leaves_scanned += 1
                 items = tree.node_items(node)
-                q_start = np.repeat(q.start[None, :], len(items), axis=0)
-                q_end = np.repeat(q.end[None, :], len(items), axis=0)
-                lb_end = np.maximum(
-                    m.rowwise(q_start, self.starts[items]),
-                    m.rowwise(q_end, self.ends[items]),
+                lb_end, lbs = self._query_bounds(q, items)
+                # The k-th best cut only shrinks while the leaf is
+                # scanned, so the items passing each filter at the cut
+                # in force now include every item the scan below
+                # evaluates.  Their DPs run stacked up front; the scan
+                # then replays the sequential decisions over them.
+                cut = kth()
+                simp_lbs = np.full(len(items), math.inf)
+                dists = np.full(len(items), math.inf)
+                near = np.flatnonzero(lbs <= cut)
+                simp_lbs[near] = self._query_simplification_bounds(
+                    q, items[near]
                 )
-                lbs = lb_end
-                if m.coordinate_monotone:
-                    gaps = np.maximum(
-                        0.0,
-                        np.maximum(
-                            self.box_lo[items] - q.box_hi,
-                            q.box_lo - self.box_hi[items],
-                        ),
-                    )
-                    lbs = np.maximum(
-                        lbs, m.rowwise(np.zeros_like(gaps), gaps)
-                    )
-                for pos, i in enumerate(items):
-                    i = int(i)
+                near = near[simp_lbs[near] <= cut]
+                dists[near] = self._query_dfds(q, items[near])
+                for pos, i in enumerate(items.tolist()):
                     cut = kth()
-                    if len(best) >= k and float(lbs[pos]) > cut:
-                        if float(lb_end[pos]) > cut:
+                    if len(best) >= k and lbs[pos] > cut:
+                        if lb_end[pos] > cut:
                             stats.pruned_endpoint += 1
                         else:
                             stats.pruned_box += 1
                         continue
-                    core = float(dfd_matrix(m.pairwise(
-                        q.simplification, self.simplifications[i]
-                    )))
-                    if (
-                        len(best) >= k
-                        and core - q.error - float(errs[i]) > cut
-                    ):
+                    if len(best) >= k and simp_lbs[pos] > cut:
                         stats.pruned_simplification += 1
                         continue
                     stats.candidates += 1
-                    dist = float(dfd_matrix(
-                        m.pairwise(q.points, self._points[i])
-                    ))
-                    entry = (-dist, -i)
+                    entry = (-float(dists[pos]), -i)
                     if len(best) < k:
                         heapq.heappush(best, entry)
                     elif entry > best[0]:

@@ -7,7 +7,11 @@ sequence ``T(S)``.  Timestamps may be non-uniformly spaced -- this is one
 of the two real-data characteristics (non-uniform sampling rate, missing
 samples) that motivate the discrete Frechet distance.
 
-Points are stored as a read-only ``(n, d)`` float64 array.  For
+Points are stored as a read-only ``(n, d)`` float64 array that no
+other array can write: input that some view could still change is
+copied on construction (:func:`_immutable`).  That is what lets a
+trajectory compute its content :attr:`~Trajectory.fingerprint` once
+and keep it.  For
 geographic data (``crs="latlon"``) column 0 is latitude and column 1 is
 longitude, in degrees; the matching ground metric is the great-circle
 (haversine) distance.  For planar data (``crs="plane"``) coordinates are
@@ -16,6 +20,8 @@ Cartesian and the matching ground metric is Euclidean.
 
 from __future__ import annotations
 
+import hashlib
+import sys
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -30,8 +36,43 @@ _VALID_CRS = (CRS_LATLON, CRS_PLANE)
 ArrayLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
 
+def fingerprint_array(arr: np.ndarray) -> str:
+    """Stable content hash of an ndarray (shape, dtype and bytes).
+
+    Interned: a corpus' fingerprints sit in every cache key built over
+    it, and re-fingerprinting the same corpus per request would
+    otherwise make each cached key hold its own copy of every string.
+    """
+    arr = np.ascontiguousarray(arr)
+    digest = hashlib.sha1()
+    digest.update(repr(arr.shape).encode())
+    digest.update(str(arr.dtype).encode())
+    digest.update(arr.tobytes())
+    return sys.intern(digest.hexdigest())
+
+
+def _immutable(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if no array can write its buffer, else a read-only copy.
+
+    Input that is read-only down its whole chain of array bases (a
+    snapshot memmap, another trajectory's points) is shared as is.
+    Anything else -- a caller's array, or a read-only view of a
+    writable one -- is copied, so no later write through another view
+    can change a trajectory or invalidate its cached fingerprint.  The
+    caller's array itself is never modified.
+    """
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            arr = arr.copy()
+            break
+        base = base.base
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_point_array(points: ArrayLike) -> np.ndarray:
-    """Validate and normalise a point sequence into an ``(n, d)`` array."""
+    """Validate and normalise a point sequence into an immutable ``(n, d)`` array."""
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
         # Accept a flat sequence of 2-tuples mistakenly squeezed, but only
@@ -49,6 +90,7 @@ def _as_point_array(points: ArrayLike) -> np.ndarray:
         raise TrajectoryError(
             f"points need at least 2 coordinates per row; got {arr.shape[1]}"
         )
+    arr = _immutable(arr)
     if not np.isfinite(arr).all():
         raise TrajectoryError("points contain NaN or infinite coordinates")
     return arr
@@ -61,6 +103,7 @@ def _as_timestamp_array(timestamps: ArrayLike, n: int) -> np.ndarray:
         raise TrajectoryError(
             f"timestamps must be a 1-D array of length {n}; got shape {ts.shape}"
         )
+    ts = _immutable(ts)
     if not np.isfinite(ts).all():
         raise TrajectoryError("timestamps contain NaN or infinite values")
     if n > 1 and not (np.diff(ts) > 0).all():
@@ -85,7 +128,7 @@ class Trajectory:
         Optional identifier carried through slicing and I/O.
     """
 
-    __slots__ = ("_points", "_timestamps", "_crs", "_id")
+    __slots__ = ("_points", "_timestamps", "_crs", "_id", "_fingerprint")
 
     def __init__(
         self,
@@ -99,14 +142,22 @@ class Trajectory:
         pts = _as_point_array(points)
         if timestamps is None:
             ts = np.arange(pts.shape[0], dtype=np.float64)
+            ts.setflags(write=False)
         else:
             ts = _as_timestamp_array(timestamps, pts.shape[0])
-        pts.setflags(write=False)
-        ts.setflags(write=False)
         self._points = pts
         self._timestamps = ts
         self._crs = crs
         self._id = trajectory_id
+        self._fingerprint = None
+
+    def __reduce__(self):
+        # Through the constructor: unpickled arrays are writable, and
+        # the fingerprint is recomputed on first use.
+        return (
+            Trajectory,
+            (self._points, self._timestamps, self._crs, self._id),
+        )
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -130,6 +181,19 @@ class Trajectory:
     def trajectory_id(self) -> Optional[str]:
         """Optional identifier (e.g. source file name)."""
         return self._id
+
+    @property
+    def fingerprint(self) -> str:
+        """Content fingerprint of the points, computed once.
+
+        :func:`fingerprint_array` of :attr:`points` -- the same key a raw
+        array of equal points gets.  Cached because the point buffer can
+        never change (see :func:`_immutable`).
+        """
+        fp = self._fingerprint
+        if fp is None:
+            fp = self._fingerprint = fingerprint_array(self._points)
+        return fp
 
     @property
     def n(self) -> int:
@@ -161,8 +225,8 @@ class Trajectory:
             if stop <= start:
                 raise TrajectoryError("empty trajectory slice")
             return Trajectory(
-                self._points[start:stop].copy(),
-                self._timestamps[start:stop].copy(),
+                self._points[start:stop],
+                self._timestamps[start:stop],
                 crs=self._crs,
                 trajectory_id=self._id,
             )
@@ -179,7 +243,7 @@ class Trajectory:
         )
 
     def __hash__(self) -> int:
-        return hash((self._crs, self.n, self._points.tobytes()))
+        return hash((self._crs, self.fingerprint))
 
     def __repr__(self) -> str:
         ident = f" id={self._id!r}" if self._id else ""
@@ -205,14 +269,14 @@ class Trajectory:
     def with_timestamps(self, timestamps: ArrayLike) -> "Trajectory":
         """Return a copy with new timestamps (same points)."""
         return Trajectory(
-            self._points.copy(), timestamps, crs=self._crs, trajectory_id=self._id
+            self._points, timestamps, crs=self._crs, trajectory_id=self._id
         )
 
     def with_id(self, trajectory_id: str) -> "Trajectory":
         """Return a copy with a different identifier."""
         return Trajectory(
-            self._points.copy(),
-            self._timestamps.copy(),
+            self._points,
+            self._timestamps,
             crs=self._crs,
             trajectory_id=trajectory_id,
         )
@@ -286,8 +350,8 @@ class Subtrajectory:
     def to_trajectory(self) -> Trajectory:
         """Materialise the view as an independent :class:`Trajectory`."""
         return Trajectory(
-            self.points.copy(),
-            self.timestamps.copy(),
+            self.points,
+            self.timestamps,
             crs=self._parent.crs,
             trajectory_id=self._parent.trajectory_id,
         )

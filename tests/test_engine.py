@@ -199,6 +199,51 @@ class TestCaching:
         assert fingerprint_points(a) != fingerprint_points(b)
         assert fingerprint_points(a) == fingerprint_points(a.copy())
 
+    def test_trajectory_and_raw_points_share_keys(self):
+        """A trajectory's cached fingerprint is the raw-array key, and
+        engine and service result keys keep their values."""
+        from repro.distances.ground import get_metric
+        from repro.engine import planner
+        from repro.service import MotifService
+        from repro.trajectory import Trajectory
+
+        raw = np.arange(12.0).reshape(6, 2)
+        rev = raw[::-1].copy()
+        assert fingerprint_points(raw) == fingerprint_points(Trajectory(raw))
+        assert fingerprint_points(raw) == (
+            "6294fee7100c93af160e3e4c1c897e6f6d9cf7f7"
+        )
+        assert fingerprint_points(Trajectory(rev)) == (
+            "e918a1df4c965755e0324abc983df5ddc9a8c8fa"
+        )
+        euclid = get_metric("euclidean")
+        corpus_key = (
+            "6294fee7100c93af160e3e4c1c897e6f6d9cf7f7",
+            "e918a1df4c965755e0324abc983df5ddc9a8c8fa",
+        )
+        ref = ("range", corpus_key[0], corpus_key,
+               ("repro.distances.ground", "EuclideanMetric", "euclidean",
+                "EuclideanMetric()"), 2.0, True)
+        for query, corpus in ((raw, [raw, rev]),
+                              (Trajectory(raw), [Trajectory(raw),
+                                                 Trajectory(rev)])):
+            assert planner.range_result_key(
+                query, corpus, euclid, 2.0, "tree"
+            ) == ref
+            assert planner.knn_result_key(
+                query, corpus, euclid, 1, True
+            ) == ("knn",) + ref[1:4] + (1, True)
+        svc = MotifService(workers=1)
+        try:
+            params = {"query": raw.tolist(),
+                      "corpus": [raw.tolist(), rev.tolist()]}
+            key, _ = svc._prepare_range(dict(params, radius=2.0))
+            assert key == ("svc", "range", 1, ref)
+            key, _ = svc._prepare_knn(dict(params, k=1))
+            assert key == ("svc", "knn", 1, ("knn",) + ref[1:4] + (1, True))
+        finally:
+            svc.stop()
+
 
 # ----------------------------------------------------------------------
 # Partitioning

@@ -153,7 +153,7 @@ def test_one_point_trajectories():
 def test_dfd_pairs_matches_scalar_across_blocks(monkeypatch):
     import repro.distances.kernels as kernels
 
-    monkeypatch.setattr(kernels, "DFD_BLOCK", 7)
+    monkeypatch.setattr(kernels, "DFD_CELLS", 7 * 11 * 11)
     rng = np.random.default_rng(3)
     left = [random_points(rng, int(rng.integers(1, 12)), "euclidean")
             for _ in range(30)]
@@ -162,6 +162,83 @@ def test_dfd_pairs_matches_scalar_across_blocks(monkeypatch):
     m = get_metric("euclidean")
     ref = [dfd_matrix(m.pairwise(p, q)) for p, q in zip(left, right)]
     assert list(dfd_pairs(m, left, right)) == ref
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_wavefront_dfd_pairs_equal_scalar_and_recursive(metric):
+    """Ragged pairs, 1 x m and n x 1 included, through the wavefront."""
+    rng = np.random.default_rng(17)
+    shapes = [(1, 1), (1, 9), (12, 1), (2, 30), (30, 2)] + [
+        tuple(int(v) for v in rng.integers(1, 33, size=2)) for _ in range(25)
+    ]
+    left = [random_points(rng, n, metric) for n, _ in shapes]
+    right = [random_points(rng, k, metric) for _, k in shapes]
+    m = get_metric(metric)
+    mats = [m.pairwise(p, q) for p, q in zip(left, right)]
+    ref = [dfd_matrix(mat) for mat in mats]
+    assert ref == [dfd_matrix_recursive(mat) for mat in mats]
+    assert list(dfd_pairs(m, left, right)) == ref
+    assert list(dfd_batch(*pad_stack(mats))) == ref
+    # Reversed stack order: each pair's value depends on it alone.
+    assert list(dfd_batch(*pad_stack(mats[::-1]))) == ref[::-1]
+
+
+@pytest.mark.parametrize("metric", ("euclidean", "chebyshev"))
+def test_wavefront_on_tie_heavy_lattices(metric):
+    """Integer-lattice pairs: many couplings tie at exactly the DFD."""
+    rng = np.random.default_rng(23)
+    m = get_metric(metric)
+    left = [rng.integers(0, 3, size=(int(rng.integers(1, 9)), 2)) * 1.0
+            for _ in range(60)]
+    right = [rng.integers(0, 3, size=(int(rng.integers(1, 9)), 2)) * 1.0
+             for _ in range(60)]
+    mats = [m.pairwise(p, q) for p, q in zip(left, right)]
+    ref = [dfd_matrix_recursive(mat) for mat in mats]
+    assert len(set(ref)) < len(ref) // 4  # the distances do tie
+    assert list(dfd_pairs(m, left, right)) == ref
+    dmats, ends = pad_stack(mats)
+    got = dfd_batch(dmats, ends)
+    assert list(got) == ref
+    # Each pair decides True at exactly its DFD and False just below.
+    assert decide_batch(dmats, ends, 1.0).tolist() == [d <= 1.0 for d in ref]
+    for b, dfd in enumerate(ref):
+        assert decide_batch(dmats[b:b + 1], ends[b:b + 1], dfd)[0]
+        assert not decide_batch(
+            dmats[b:b + 1], ends[b:b + 1], np.nextafter(dfd, -np.inf)
+        )[0]
+
+
+def test_dfd_pairs_stacks_stay_within_the_cell_budget(monkeypatch):
+    import repro.distances.kernels as kernels
+
+    seen = []
+    real = kernels.dfd_batch
+
+    def recording(dmats, ends):
+        seen.append(np.shape(dmats))
+        return real(dmats, ends)
+
+    monkeypatch.setattr(kernels, "dfd_batch", recording)
+    rng = np.random.default_rng(5)
+    count = 600
+    left = [random_points(rng, int(rng.integers(20, 61)), "euclidean")
+            for _ in range(count)]
+    right = [random_points(rng, int(rng.integers(20, 61)), "euclidean")
+             for _ in range(count)]
+    m = get_metric("euclidean")
+    got = dfd_pairs(m, left, right)
+    assert list(got) == [dfd_matrix(m.pairwise(p, q))
+                         for p, q in zip(left, right)]
+    assert sum(shape[0] for shape in seen) == count
+    assert len(seen) > 1
+    assert max(np.prod(shape) for shape in seen) <= kernels.DFD_CELLS
+    # A single pair larger than the budget is settled on its own.
+    seen.clear()
+    monkeypatch.setattr(kernels, "DFD_CELLS", 500)
+    got = dfd_pairs(m, left[:5], right[:5])
+    assert [shape[0] for shape in seen] == [1] * 5
+    assert list(got) == [dfd_matrix(m.pairwise(p, q))
+                         for p, q in zip(left[:5], right[:5])]
 
 
 def test_empty_stacks():
@@ -343,3 +420,27 @@ def test_two_worker_join_scrape_shows_kernel_families():
     assert delta[2] == stats["accepted_upper"]
     # DP pairs: the join's undecided pairs plus the index's bound DPs.
     assert delta[3] >= stats["decisions"] - stats["accepted_upper"]
+
+
+def test_service_knn_scrape_moves_the_dfd_batch_count():
+    """Range / kNN refinement runs the stacked kernel, visible in /metrics."""
+    corpus = [t.points.tolist() for t in clustered(4)]
+    query = (np.asarray(corpus[2]) + 0.05).tolist()
+    service = MotifService(workers=2)
+    service.start()
+    httpd = make_server(service)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    sample = 'repro_kernel_seconds_count{kernel="dfd_batch"}'
+    try:
+        client = ServiceClient(port=httpd.server_address[1], retries=0)
+        before = scrape_value(client.metrics_text(), sample)
+        out = client.knn(query, corpus, k=3)
+        after = scrape_value(client.metrics_text(), sample)
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10.0)
+        service.stop()
+    assert len(out["neighbors"]) == 3
+    assert after - before >= 1

@@ -197,3 +197,69 @@ class TestSubtrajectory:
     def test_direct_constructor_validates(self, small_walk):
         with pytest.raises(TrajectoryError):
             Subtrajectory(small_walk, 5, 5)
+
+
+class TestOwnership:
+    """A trajectory's buffers cannot change, so its fingerprint is kept."""
+
+    def test_caller_array_stays_writable_and_detached(self):
+        a = np.arange(6.0).reshape(3, 2)
+        t = Trajectory(a)
+        assert a.flags.writeable
+        a[0, 0] = 99.0
+        assert t.points[0, 0] == 0.0
+        assert not t.points.flags.writeable
+
+    def test_view_of_writable_buffer_is_copied(self):
+        b = np.arange(6.0).reshape(3, 2)
+        t = Trajectory(b[:])
+        b[1, 1] = 42.0
+        assert t.points[1, 1] == 3.0
+        view = b[:]
+        view.setflags(write=False)  # read-only view, writable base
+        u = Trajectory(view)
+        b[0, 0] = -1.0
+        assert u.points[0, 0] == 0.0
+
+    def test_timestamps_are_owned_too(self):
+        ts = np.array([0.0, 1.0, 2.0])
+        t = Trajectory(np.zeros((3, 2)), ts)
+        ts[0] = -5.0
+        assert ts.flags.writeable
+        assert t.timestamps[0] == 0.0
+
+    def test_read_only_input_is_shared(self, tmp_path):
+        t = make(6)
+        assert Trajectory(t.points).points is t.points
+        assert np.shares_memory(t[1:4].points, t.points)
+        path = tmp_path / "pts.f8"
+        np.arange(12.0).tofile(path)
+        mapped = np.memmap(path, dtype=np.float64, mode="r", shape=(6, 2))
+        assert np.shares_memory(Trajectory(mapped[1:5]).points, mapped)
+
+    def test_cached_fingerprint_equals_a_fresh_one(self):
+        from repro.engine.cache import fingerprint_array
+
+        a = np.arange(8.0).reshape(4, 2)
+        t = Trajectory(a[:])
+        first = t.fingerprint
+        a[:] = 0.0
+        assert t.fingerprint is first
+        assert first == fingerprint_array(t.points)
+        assert first == fingerprint_array(np.arange(8.0).reshape(4, 2))
+
+    def test_hash_follows_equality(self):
+        a = np.arange(8.0).reshape(4, 2)
+        assert hash(Trajectory(a)) == hash(Trajectory(a.copy()))
+        assert hash(Trajectory(a)) != hash(Trajectory(a, crs="latlon"))
+        assert len({Trajectory(a), Trajectory(a.tolist()), make(4)}) == 1
+
+    def test_pickle_roundtrip_stays_immutable(self):
+        import pickle
+
+        t = Trajectory(np.arange(8.0).reshape(4, 2), trajectory_id="x")
+        u = pickle.loads(pickle.dumps(t))
+        assert u == t and u.trajectory_id == "x"
+        assert not u.points.flags.writeable
+        assert not u.timestamps.flags.writeable
+        assert u.fingerprint == t.fingerprint

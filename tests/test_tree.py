@@ -26,13 +26,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.distances.frechet import discrete_frechet
+import heapq
+import math
+
+from repro.distances.frechet import dfd_matrix, discrete_frechet
 from repro.distances.ground import get_metric
 from repro.engine import MotifEngine
 from repro.engine.planner import normalize_index_mode
 from repro.errors import ReproError
 from repro.index import (
     CorpusIndex,
+    IndexStats,
     TREE_ARRAY_FIELDS,
     TrajectoryTree,
 )
@@ -220,6 +224,160 @@ class TestRangeKnnParity:
         for key in ("nodes_visited", "nodes_pruned", "leaves_scanned"):
             assert key in d
         assert stats.nodes_visited > 0
+
+
+# ----------------------------------------------------------------------
+# Stacked refinement == the one-pair-at-a-time scan it replaced
+# ----------------------------------------------------------------------
+def _filter_bounds(index, q, items):
+    m = index.metric
+    n = len(items)
+    lb_end = np.maximum(
+        m.rowwise(np.repeat(q.start[None, :], n, axis=0), index.starts[items]),
+        m.rowwise(np.repeat(q.end[None, :], n, axis=0), index.ends[items]),
+    )
+    lbs = lb_end
+    if m.coordinate_monotone:
+        gaps = np.maximum(0.0, np.maximum(index.box_lo[items] - q.box_hi,
+                                          q.box_lo - index.box_hi[items]))
+        lbs = np.maximum(lbs, m.rowwise(np.zeros_like(gaps), gaps))
+    return lb_end, lbs
+
+
+def _simp_bound(index, q, i):
+    core = float(dfd_matrix(index.metric.pairwise(
+        q.simplification, index.simplifications[i])))
+    return core - q.error - float(index.simplification_errors[i])
+
+
+def _exact(index, q, i):
+    return float(dfd_matrix(index.metric.pairwise(q.points, index.points(i))))
+
+
+def sequential_range(index, query, radius):
+    """Tree range scan refining one candidate at a time (scalar DPs)."""
+    stats = IndexStats()
+    stats.pairs_total = index.n
+    q = index.summarize_query(query)
+    cand = index.ensure_tree().range_candidates(q, radius, stats)
+    if len(cand):
+        lb_end, lbs = _filter_bounds(index, q, cand)
+        stats.pruned_endpoint = int(np.sum(lb_end > radius))
+        stats.pruned_box = int(np.sum(lbs > radius)) - stats.pruned_endpoint
+        cand = cand[lbs <= radius]
+    if len(cand):
+        keep = [_simp_bound(index, q, int(i)) <= radius for i in cand]
+        stats.pruned_simplification = keep.count(False)
+        cand = cand[np.array(keep, dtype=bool)]
+    stats.candidates = len(cand)
+    matches = [(int(i), _exact(index, q, int(i))) for i in cand]
+    return [(i, d) for i, d in matches if d <= radius], stats
+
+
+def sequential_knn(index, query, k):
+    """Best-first kNN deciding, then computing, one leaf item at a time."""
+    stats = IndexStats()
+    stats.pairs_total = index.n
+    q = index.summarize_query(query)
+    tree = index.ensure_tree()
+    best = []
+
+    def kth():
+        return -best[0][0] if len(best) >= k else math.inf
+
+    heap = [(float(tree.query_lower_bounds(q, [0])[0]), 0)]
+    while heap:
+        key, node = heapq.heappop(heap)
+        if len(best) >= k and key > kth():
+            stats.nodes_pruned += 1 + len(heap)
+            stats.pruned_grid += int(tree.item_hi[node] - tree.item_lo[node])
+            stats.pruned_grid += sum(
+                int(tree.item_hi[n] - tree.item_lo[n]) for _, n in heap)
+            break
+        stats.nodes_visited += 1
+        if tree.is_leaf(node):
+            stats.leaves_scanned += 1
+            items = tree.node_items(node)
+            lb_end, lbs = _filter_bounds(index, q, items)
+            for pos, i in enumerate(items.tolist()):
+                full = len(best) >= k
+                if full and lbs[pos] > kth():
+                    if lb_end[pos] > kth():
+                        stats.pruned_endpoint += 1
+                    else:
+                        stats.pruned_box += 1
+                    continue
+                if full and _simp_bound(index, q, i) > kth():
+                    stats.pruned_simplification += 1
+                    continue
+                stats.candidates += 1
+                entry = (-_exact(index, q, i), -i)
+                if not full:
+                    heapq.heappush(best, entry)
+                elif entry > best[0]:
+                    heapq.heappushpop(best, entry)
+            continue
+        children = range(int(tree.child_lo[node]), int(tree.child_hi[node]))
+        child_lbs = tree.query_lower_bounds(q, np.array(children))
+        for pos, child in enumerate(children):
+            child_key = max(key, float(child_lbs[pos]))
+            if child_key <= kth():
+                child_key = max(child_key, tree.rep_query_bound(q, child))
+            if len(best) >= k and child_key > kth():
+                stats.nodes_pruned += 1
+                stats.pruned_grid += int(
+                    tree.item_hi[child] - tree.item_lo[child])
+                continue
+            heapq.heappush(heap, (child_key, child))
+    return sorted((-d, -i) for d, i in best), stats
+
+
+class TestStackedRefinement:
+    """``range_scan`` / ``knn_scan`` run their DPs stacked; answers equal
+    the brute-force scan and ``IndexStats`` equal the sequential scan,
+    including integer-lattice ties at the radius and the k-th distance."""
+
+    @staticmethod
+    def check(index, query, radius, k):
+        brute_r, _ = index.range_scan(query, radius, use_tree=False)
+        got_r, stats_r = index.range_scan(query, radius)
+        ref_r, ref_stats_r = sequential_range(index, query, radius)
+        assert got_r == ref_r == brute_r
+        assert stats_r.as_dict() == ref_stats_r.as_dict()
+        brute_k, _ = index.knn_scan(query, k, use_tree=False)
+        got_k, stats_k = index.knn_scan(query, k)
+        ref_k, ref_stats_k = sequential_knn(index, query, k)
+        assert got_k == ref_k == brute_k
+        assert stats_k.as_dict() == ref_stats_k.as_dict()
+        return got_r, got_k
+
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_random_corpora(self, seed, metric):
+        geo = metric == "haversine"
+        corpus = make_corpus(seed, n_items=40, geo=geo, clustered=not geo)
+        index = CorpusIndex(corpus, metric)
+        index.ensure_tree(fanout=4)
+        resolved = get_metric(metric)
+        query = corpus[5].points + 0.01
+        dists = sorted(exact_dfd(query, t, resolved) for t in corpus)
+        for radius, k in ((dists[3], 1), (dists[10], 5), (dists[-1], 12)):
+            self.check(index, query, radius, k)
+
+    @pytest.mark.parametrize("seed", SEEDS[:4])
+    def test_lattice_ties_at_radius_and_kth(self, seed):
+        corpus = lattice_corpus(seed, count=40)
+        index = CorpusIndex(corpus, "euclidean")
+        index.ensure_tree(fanout=4)
+        query = lattice_corpus(seed + 7, count=1)[0]
+        resolved = get_metric("euclidean")
+        dists = sorted(exact_dfd(query, t, resolved) for t in corpus)
+        for k in (1, 4, 9, 20):
+            radius = dists[k - 1]  # the k-th distance, tied elsewhere
+            got_r, got_k = self.check(index, query, radius, k)
+            assert any(d == radius for _, d in got_r)
+            assert got_k[-1][0] == radius
+        assert len(set(dists)) < len(dists) // 2  # ties everywhere
 
 
 # ----------------------------------------------------------------------
