@@ -5,7 +5,7 @@ serving-style query stream (each corpus trajectory queried repeatedly)
 answered by a serial loop vs the :class:`MotifEngine`, across four
 workloads -- batched discover, cold unique-corpus discover (isolating
 the partitioned chunk scan), a top-k stream (parallel chunk-merge
-top-k), and a similarity-join stream (sharded tile grid) -- plus a
+top-k), and a similarity-join stream (dealt pair chunks) -- plus a
 large-n single-query discover row comparing the zero-copy lazy bound
 pipeline against the PR 2 transfer shape (eager full argsort plus
 pickled per-chunk bound slices).  Shapes under test: the batched
@@ -183,7 +183,7 @@ def _indexed_join_corpus(clusters: int, per_cluster: int, n: int, seed: int):
 def test_indexed_join_speedup(benchmark):
     """The PR 4 tentpole row: the corpus index must prune >= 50% of the
     pair grid before the cascade's endpoint filter and beat the
-    unindexed tiled join at 2 workers (floor 1.2x), with zero
+    unindexed pair-chunked join at 2 workers (floor 1.2x), with zero
     index-array pickling.  Recorded in ``BENCH_engine_scaling.json``."""
     benchmark.group = "engine: indexed similarity join"
     clusters, per_cluster, n = INDEXED_JOIN_SHAPE.get(

@@ -51,8 +51,8 @@ print(f"self-join of {len(segments)} route segments of truck A "
       f"at theta={theta:.0f} m ({elapsed:.2f}s):")
 print(f"  repeated-route pairs: {len(repeats)}")
 print(f"  filter cascade: {stats.pruned_endpoint} endpoint, "
-      f"{stats.pruned_bbox} bbox, {stats.pruned_hausdorff} hausdorff "
-      f"pruned; {stats.decisions} exact decisions")
+      f"{stats.pruned_hausdorff} hausdorff pruned; "
+      f"{stats.decisions} exact decisions")
 for a, b in repeats[:5]:
     print(f"    A[{a * 20}..{a * 20 + 39}] ~ A[{b * 20}..{b * 20 + 39}]")
 if len(repeats) > 5:

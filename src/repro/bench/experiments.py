@@ -432,8 +432,8 @@ def engine_scaling(
       with zero dense-``dG`` pickling -- see
       ``benchmarks/bench_engine_scaling.py``).
     * **join stream** -- repeated similarity joins of the corpus
-      against a shifted copy, serial cascade vs the engine's sharded
-      tile grid with result caching.
+      against a shifted copy, serial cascade vs the engine's dealt
+      pair chunks with result caching.
 
     Every workload is timed best-of-2 (:func:`repro.bench.timed_best`):
     the floors these rows gate in CI sit well above the true speedups,

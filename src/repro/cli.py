@@ -174,7 +174,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         print(f"  left[{a}] ~ right[{b}]")
     if args.stats:
         print(f"pruned: index={stats.pruned_index} "
-              f"endpoint={stats.pruned_endpoint} bbox={stats.pruned_bbox} "
+              f"endpoint={stats.pruned_endpoint} "
               f"hausdorff={stats.pruned_hausdorff}; exact decisions={stats.decisions} "
               f"(upper-bound accepts={stats.accepted_upper})")
         _print_index_stats(stats.details.get("index"))

@@ -5,9 +5,9 @@ algorithms in :mod:`repro.core`: it caches ground oracles and results
 by content fingerprint, partitions single queries' candidate start
 pairs across a process pool with best-so-far sharing, fans corpus
 batches out one query per worker, scans top-k chunks against a shared
-k-th-best threshold, and shards similarity joins over candidate-pair
-tiles (optionally pruned by a :class:`repro.index.CorpusIndex`) --
-with dense ground matrices, bound tables and corpus transport arrays
+k-th-best threshold, and deals corpus joins' candidate pairs (all
+pairs, or those a :class:`repro.index.CorpusIndex` cannot prune) in
+strided chunks -- with dense ground matrices, bound tables and corpus transport arrays
 riding named shared-memory segments (:mod:`repro.engine.shm`) instead
 of the pool pipe, and answers byte-identical to the serial algorithms
 (see ``tests/test_engine.py`` and ``tests/test_parity_randomized.py``).
@@ -30,14 +30,12 @@ from .partition import (
     deal_indices,
     plan_chunks,
     plan_strides,
-    plan_tiles,
     slice_bounds,
 )
 from .shm import (
     SharedArrayRef,
     SharedArrayStore,
     SharedMatrixRef,
-    SharedMatrixStore,
     shared_memory_available,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "SharedArrayRef",
     "SharedArrayStore",
     "SharedMatrixRef",
-    "SharedMatrixStore",
     "deal_indices",
     "default_engine",
     "fingerprint_array",
@@ -58,7 +55,6 @@ __all__ = [
     "fork_context",
     "plan_chunks",
     "plan_strides",
-    "plan_tiles",
     "shared_memory_available",
     "slice_bounds",
 ]

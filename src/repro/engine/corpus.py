@@ -1,31 +1,31 @@
-"""Corpus workload orchestration: indexed joins, top-k joins, clustering.
+"""Corpus workload orchestration: joins, top-k joins, clustering.
 
 The :class:`~repro.engine.MotifEngine` facade delegates its
-collection-level workloads here.  Each workload follows one shape:
+collection-level workloads here.  Every join verb (threshold join,
+top-k closest-pair join, window clustering) is one pipeline:
 
-1. the **planner** derives the content-addressed result key and the
-   candidate layout;
-2. the **corpus index** (:class:`repro.index.CorpusIndex`) generates
-   the candidate pairs the bounds cannot prove apart (indexed paths),
-   or the full tile grid stands in (unindexed paths);
-3. the **executor** publishes the index's transport arrays once and
-   maps candidate-pair chunks across the pool -- every task carries
-   refs plus a ``(start, stride)`` share, so nothing corpus-sized is
-   pickled (``transfer_info()``'s ``index_bytes_pickled`` stays 0);
-4. the per-chunk answers merge into the canonical serial result
-   (matches re-sort to left-major order, cascade statistics fold
-   additively, top-k heaps merge under the ``(distance, (a, b))``
-   total order).
+1. a **candidate source** -- all pairs (``index=False``), or the pairs
+   the corpus index (:class:`repro.index.CorpusIndex`) cannot prove
+   apart: the endpoint grid, the dual-tree walk or the tree cursor;
+2. the batched **verify** of the candidate list, serial or dealt by
+   the one pair-chunk dispatch :func:`_deal_pairs`, which publishes
+   the corpus transport slabs and the pair slab once and hands each
+   task refs plus a ``(start, stride)`` share, so nothing corpus-sized
+   is pickled (``transfer_info()``'s ``index_bytes_pickled`` stays 0);
+3. the canonical **merge** (matches re-sort to left-major order,
+   cascade statistics fold additively, top-k heaps merge under the
+   ``(distance, (a, b))`` total order).
 
-Indexed answers equal unindexed answers exactly -- the index's bounds
-are admissible -- which ``tests/test_parity_randomized.py`` sweeps
-across worker counts.
+Answers are identical for every candidate source and worker count --
+the index's bounds are admissible -- which
+``tests/test_parity_randomized.py`` sweeps.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 from typing import List, Optional, Tuple
 
@@ -39,23 +39,14 @@ from ..extensions.join import (
     JoinStats,
     _points_getter,
     join_pairs,
-    join_top_k,
     merge_join_stats,
     merge_join_topk,
     scan_join_topk,
-    similarity_join,
 )
-from ..index import CorpusIndex, IndexStats
+from ..index import CorpusIndex, IndexStats, all_pairs
 from . import planner
 from . import worker as _worker
 from .cache import fingerprint_points, metric_key
-
-
-def _points_list(items) -> List[np.ndarray]:
-    """Raw point arrays of a collection (inline task payloads)."""
-    return [
-        np.asarray(getattr(t, "points", t), dtype=np.float64) for t in items
-    ]
 
 
 def corpus_index_cache_key(fps: tuple, metric) -> tuple:
@@ -85,6 +76,26 @@ def corpus_index_for(engine, items, metric) -> Tuple[CorpusIndex, tuple]:
     )
 
 
+def _sides(engine, left, right, resolved):
+    """The ``(items, index, fingerprints)`` of both sides of a join."""
+    return tuple(
+        (items, *corpus_index_for(engine, items, resolved))
+        for items in (left, right)
+    )
+
+
+# ----------------------------------------------------------------------
+# The pair-chunk pipeline
+# ----------------------------------------------------------------------
+def _deals(exec_, workers: int, n_pairs: int) -> bool:
+    """Whether a candidate list is dealt across the pool (else serial)."""
+    return (
+        exec_.can_shard(workers)
+        and n_pairs >= 2
+        and planner.n_chunks_for(workers, exec_.chunks_per_worker) >= 2
+    )
+
+
 def _share_corpus(engine, index: CorpusIndex, fps: tuple):
     """Publish one corpus' transport slabs; None -> ship inline.
 
@@ -101,13 +112,86 @@ def _share_corpus(engine, index: CorpusIndex, fps: tuple):
     )
 
 
-def _corpus_payloads(left_ref, right_ref, left_pts, right_pts, self_join):
-    """The corpus transport fields of one candidate-pair task."""
-    if left_ref is not None and (right_ref is not None or self_join):
-        return dict(left_ref=left_ref,
-                    right_ref=left_ref if self_join else right_ref)
-    return dict(left_points=left_pts,
-                right_points=None if self_join else right_pts)
+def _points_list(items) -> List[np.ndarray]:
+    """Raw point arrays of a collection (inline task payloads)."""
+    return [
+        np.asarray(getattr(t, "points", t), dtype=np.float64) for t in items
+    ]
+
+
+def _deal_pairs(engine, workers, sides, pairs, pairs_key, make_task, fn, *,
+                lbs=None, inline=None):
+    """The one pair-chunk dispatch of every corpus join verb.
+
+    Publishes both sides' corpus transport slabs (once for a self-join)
+    and the candidate ``pairs`` (plus their ascending ``lbs``, if any)
+    as one batch, deals ``(start, stride)`` shares of them with
+    :func:`~repro.engine.planner.plan_pair_strides`, and maps ``fn``
+    over the tasks ``make_task`` builds from each share -- so a
+    zero-copy task is refs plus two ints.  Without shared memory the
+    tasks carry their points and pair slices inline.  ``inline``, when
+    given, marks tasks that share a cut through the engine's shared
+    threshold: they run through
+    :meth:`~repro.engine.executor.EngineExecutor.dispatch_chunks`, with
+    ``inline`` as the sequential fallback.  Returns the per-chunk
+    results in share order; callers merge them canonically.
+    """
+    exec_ = engine._exec
+    (left, index_left, fps_left), (right, index_right, fps_right) = sides
+    self_join = fps_left == fps_right
+    slabs = {"pairs": pairs} if lbs is None else {"pairs": pairs, "lbs": lbs}
+    with exec_.scan_lock:
+        try:
+            exec_.shm.begin_batch()
+            left_ref = _share_corpus(engine, index_left, fps_left)
+            right_ref = (
+                left_ref if self_join
+                else _share_corpus(engine, index_right, fps_right)
+            )
+            if left_ref is not None and right_ref is not None:
+                corpus = dict(left_ref=left_ref, right_ref=right_ref)
+            else:
+                corpus = dict(
+                    left_points=_points_list(left),
+                    right_points=None if self_join else _points_list(right),
+                )
+            pairs_ref = exec_.share_index(pairs_key, slabs)
+            tasks = []
+            for start, stride in planner.plan_pair_strides(
+                len(pairs), workers, exec_.chunks_per_worker
+            ):
+                if pairs_ref is not None:
+                    share = dict(pairs_ref=pairs_ref, pair_start=start,
+                                 pair_stride=stride)
+                elif lbs is None:
+                    share = dict(pairs=pairs[start::stride])
+                else:
+                    share = dict(pairs=pairs[start::stride],
+                                 pair_lbs=lbs[start::stride])
+                tasks.append(make_task(**share, **corpus))
+            with obs.span("engine.dispatch", tasks=len(tasks)):
+                if inline is None:
+                    return exec_.map_tasks(tasks, workers, fn)
+                return exec_.dispatch_chunks(tasks, workers, fn, inline)
+        finally:
+            exec_.shm.trim()
+
+
+def _verify_chunks(engine, workers, sides, pairs, pairs_key, theta, metric):
+    """The dealt batched verify of a threshold candidate list, merged.
+
+    Matches re-sort to the serial left-major order and the cascade
+    statistics fold additively, so the answer equals the serial
+    :func:`join_pairs` over the same list for every worker count.
+    """
+    parts = _deal_pairs(
+        engine, workers, sides, pairs, pairs_key,
+        functools.partial(_worker.JoinPairsChunkTask, theta=theta,
+                          metric=metric),
+        _worker.join_pairs_chunk,
+    )
+    matches = sorted(match for part, _ in parts for match in part)
+    return matches, merge_join_stats([part_stats for _, part_stats in parts])
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +200,12 @@ def _corpus_payloads(left_ref, right_ref, left_pts, right_pts, self_join):
 def run_join(engine, left, right, theta, metric, workers, use_index):
     """Exact DFD similarity join; indexed and/or sharded.
 
-    Unindexed: the PR 2 tile grid over both collections.  Indexed: the
-    corpus index generates candidate pairs, the executor deals them
-    round-robin into chunks whose tasks carry only refs, and the
-    per-chunk cascades fold into statistics identical to the serial
-    ``similarity_join(index=True)`` -- for every worker count.
+    One pipeline for every index mode: a candidate source (all pairs
+    unindexed, the corpus index's grid or tree survivors otherwise),
+    then the batched verify -- serial, or dealt in pair chunks by
+    :func:`_deal_pairs` -- then the canonical merge.  Matches and
+    statistics equal the serial ``similarity_join`` with the same
+    ``index`` for every worker count.
     """
     if theta < 0:  # one validation for both paths, same exception type
         raise ValueError("theta must be non-negative")
@@ -137,133 +222,48 @@ def run_join(engine, left, right, theta, metric, workers, use_index):
     cached = engine._oracles.result(key)
     if cached is not None:
         return as_answer(cached)
-    if mode and len(left) and len(right):
-        out = _indexed_join(engine, left, right, theta, metric, resolved,
-                            workers, "tree" if mode == "tree" else "grid")
+    indexed = bool(mode) and bool(len(left)) and bool(len(right))
+    source = ("tree" if mode == "tree" else "grid") if indexed else "all"
+    sides = None
+    if indexed:
+        sides = _sides(engine, left, right, resolved)
+        (_, index_left, fps_left), (_, index_right, fps_right) = sides
+        # Candidate sets are pure functions of (corpora, metric, theta,
+        # generator mode); serving workloads re-join the same
+        # collections, so they ride the tables cache next to the
+        # indexes themselves.
+        with obs.span("engine.index", mode=source) as _sp:
+            pairs, index_stats = engine._oracles.tables.get_or_build(
+                ("cpairs", fps_left, fps_right, metric_key(resolved),
+                 float(theta), source),
+                lambda: index_left.candidate_pairs(
+                    index_right, theta, mode=source
+                ),
+            )
+            if _sp is not None:
+                _sp.attrs["candidates"] = int(len(pairs))
     else:
-        out = _tiled_join(engine, left, right, theta, metric, workers)
+        pairs = all_pairs(len(left), len(right))
+    if _deals(engine._exec, workers, len(pairs)):
+        sides = sides or _sides(engine, left, right, resolved)
+        (_, _, fps_left), (_, _, fps_right) = sides
+        matches, stats = _verify_chunks(
+            engine, workers, sides, pairs,
+            planner.pairs_slab_key(fps_left, fps_right, resolved, theta,
+                                   source),
+            theta, metric,
+        )
+    else:
+        matches, stats = join_pairs(_points_getter(left),
+                                    _points_getter(right),
+                                    pairs, theta, resolved)
+    if indexed:
+        stats.pairs_total = len(left) * len(right)
+        stats.pruned_index = stats.pairs_total - len(pairs)
+        stats.details["index"] = index_stats.as_dict()
+    out = (matches, stats)
     engine._oracles.put_result(key, out)
     return as_answer(out)
-
-
-def _tiled_join(engine, left, right, theta, metric, workers):
-    """The unindexed path: shard the full pair grid into tiles."""
-    exec_ = engine._exec
-    plan = planner.plan_join(
-        len(left), len(right),
-        workers=workers,
-        chunks_per_worker=exec_.chunks_per_worker,
-        can_shard=exec_.can_shard(workers),
-    )
-    if not plan.sharded:
-        return similarity_join(left, right, theta, metric)
-    # Reject non-finite input before any tile ships, as the serial
-    # path and the index builders do.
-    for items in (left, right):
-        _points_getter(items)
-    tasks = [
-        _worker.JoinTask(
-            left=[left[i] for i in left_idx],
-            right=[right[i] for i in right_idx],
-            theta=theta,
-            metric=metric,
-            left_offset=int(left_idx[0]),
-            right_offset=int(right_idx[0]),
-        )
-        for left_idx, right_idx in plan.tiles
-    ]
-    with exec_.scan_lock:  # pool use is engine-wide exclusive
-        with obs.span("engine.dispatch", tasks=len(tasks)):
-            parts = exec_.map_tasks(tasks, workers, _worker.join_tile)
-    matches: List[Tuple[int, int]] = []
-    tile_stats = []
-    for part_matches, part_stats in parts:
-        matches.extend(part_matches)
-        tile_stats.append(part_stats)
-    matches.sort()  # serial order: left-major, then right
-    return matches, merge_join_stats(tile_stats)
-
-
-def _indexed_join(engine, left, right, theta, metric, resolved, workers,
-                  mode="grid"):
-    """The indexed path: candidate pairs -> sharded pair cascade.
-
-    ``mode`` picks the candidate generator (flat endpoint grid or the
-    hierarchical dual-tree walk); everything downstream of the
-    candidate list -- stride dealing, the pair cascade, the merge --
-    is mode-independent, which is why tree-mode matches are
-    byte-identical to grid-mode matches.
-    """
-    exec_ = engine._exec
-    index_left, fps_left = corpus_index_for(engine, left, resolved)
-    index_right, fps_right = corpus_index_for(engine, right, resolved)
-    self_join = fps_left == fps_right
-    # Candidate sets are pure functions of (corpora, metric, theta,
-    # generator mode); serving workloads re-join the same collections,
-    # so they ride the tables cache next to the indexes themselves.
-    with obs.span("engine.index", mode=mode) as _sp:
-        pairs, index_stats = engine._oracles.tables.get_or_build(
-            ("cpairs", fps_left, fps_right, metric_key(resolved),
-             float(theta), mode),
-            lambda: index_left.candidate_pairs(index_right, theta, mode=mode),
-        )
-        if _sp is not None:
-            _sp.attrs["candidates"] = int(len(pairs))
-    n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
-    if not exec_.can_shard(workers) or len(pairs) < 2 or n_chunks < 2:
-        matches, stats = join_pairs(
-            _points_getter(left), _points_getter(right),
-            pairs, theta, resolved,
-        )
-    else:
-        with exec_.scan_lock:
-            try:
-                exec_.shm.begin_batch()
-                left_ref = _share_corpus(engine, index_left, fps_left)
-                right_ref = (
-                    left_ref if self_join
-                    else _share_corpus(engine, index_right, fps_right)
-                )
-                pairs_ref = exec_.share_index(
-                    planner.pairs_slab_key(fps_left, fps_right, resolved,
-                                           theta, mode),
-                    {"pairs": pairs},
-                )
-                corpus_payload = _corpus_payloads(
-                    left_ref, right_ref,
-                    _points_list(left), _points_list(right), self_join,
-                )
-                tasks = [
-                    _worker.PairsJoinTask(
-                        theta=theta,
-                        metric=metric,
-                        pairs=None if pairs_ref is not None
-                        else pairs[start::stride],
-                        pairs_ref=pairs_ref,
-                        pair_start=start if pairs_ref is not None else 0,
-                        pair_stride=stride if pairs_ref is not None else 1,
-                        **corpus_payload,
-                    )
-                    for start, stride in planner.plan_pair_strides(
-                        len(pairs), workers, exec_.chunks_per_worker
-                    )
-                ]
-                with obs.span("engine.dispatch", tasks=len(tasks)):
-                    parts = exec_.map_tasks(tasks, workers,
-                                            _worker.pairs_join_tile)
-            finally:
-                exec_.shm.trim()
-        matches = []
-        tile_stats = []
-        for part_matches, part_stats in parts:
-            matches.extend(part_matches)
-            tile_stats.append(part_stats)
-        matches.sort()
-        stats = merge_join_stats(tile_stats)
-    stats.pairs_total = len(left) * len(right)
-    stats.pruned_index = stats.pairs_total - len(pairs)
-    stats.details["index"] = index_stats.as_dict()
-    return matches, stats
 
 
 def _shard_offsets(shards) -> List[int]:
@@ -443,9 +443,10 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     """The ``k`` closest (left, right) pairs by exact DFD, ascending.
 
     The answer is canonical under ``(distance, (a, b))``, so the
-    result cache is shared by every path.  Indexed scans consume the
-    pair grid in ascending index-lower-bound order and stop at the
-    first bound beyond the evolving k-th best; sharded scans exchange
+    result cache is shared by every path.  The candidate source is all
+    pairs (unindexed), the grid in ascending index-lower-bound order
+    (the scan stops at the first bound beyond the evolving k-th best)
+    or the tree cursor (:func:`_tree_join_topk`); dealt scans exchange
     the k-th best through the engine's shared threshold and merge
     per-chunk heaps exactly.
     """
@@ -457,39 +458,22 @@ def run_join_top_k(engine, left, right, k, metric, workers, use_index):
     if cached is not None:
         return list(cached)
     mode = planner.normalize_index_mode(use_index)
-    if mode == "tree" and len(left) and len(right):
+    if not len(left) or not len(right):
+        mode = False
+    if mode == "tree":
         entries = _tree_join_topk(
             engine, left, right, k, metric, resolved, workers
         )
-        engine._oracles.put_result(key, entries)
-        return list(entries)
-    exec_ = engine._exec
-    pairs = lbs = None
-    use_index = bool(mode) and bool(len(left)) and bool(len(right))
-    if use_index:
-        index_left, _ = corpus_index_for(engine, left, resolved)
-        index_right, _ = corpus_index_for(engine, right, resolved)
+    elif mode:
+        sides = _sides(engine, left, right, resolved)
+        (_, index_left, _), (_, index_right, _) = sides
         pairs, lbs = index_left.ordered_pairs(index_right)
-    n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
-    n_pairs = len(left) * len(right)
-    if not exec_.can_shard(workers) or n_pairs < 2 or n_chunks < 2:
-        if use_index:
-            entries = scan_join_topk(
-                _points_getter(left), _points_getter(right),
-                pairs, k, resolved, bounds=lbs, ordered=True,
-            )
-        else:
-            entries = join_top_k(left, right, k, resolved)
+        entries = _scan_topk(engine, workers, left, right, pairs, lbs, k,
+                             metric, resolved, sides=sides)
     else:
-        if pairs is None:
-            n_right = len(right)
-            a_idx, b_idx = np.divmod(
-                np.arange(n_pairs, dtype=np.int64), n_right
-            )
-            pairs = np.stack([a_idx, b_idx], axis=1)
-        entries = _sharded_join_topk(
-            engine, left, right, pairs, lbs, k, metric, resolved, workers
-        )
+        entries = _scan_topk(engine, workers, left, right,
+                             all_pairs(len(left), len(right)), None, k,
+                             metric, resolved)
     entries = list(entries)
     engine._oracles.put_result(key, entries)
     return list(entries)
@@ -507,9 +491,8 @@ def _tree_join_topk(engine, left, right, k, metric, resolved, workers):
     survive) -- the merged heap is byte-identical to the flat scan's.
     The n x n pair grid is never materialised.
     """
-    exec_ = engine._exec
-    index_left, _ = corpus_index_for(engine, left, resolved)
-    index_right, _ = corpus_index_for(engine, right, resolved)
+    sides = _sides(engine, left, right, resolved)
+    (_, index_left, _), (_, index_right, _) = sides
     cursor = index_left.pair_cursor(index_right)
     head_pairs, head_lbs = cursor.take(max(4 * k, 64))
     head_entries = scan_join_topk(
@@ -520,93 +503,56 @@ def _tree_join_topk(engine, left, right, k, metric, resolved, workers):
     rest_pairs, rest_lbs = cursor.take_within(kth0)
     if not len(rest_pairs):
         return list(head_entries)
-    n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
-    if not exec_.can_shard(workers) or len(rest_pairs) < 2 or n_chunks < 2:
-        rest_entries = scan_join_topk(
-            _points_getter(left), _points_getter(right),
-            rest_pairs, k, resolved, bounds=rest_lbs, ordered=True,
-            kth0=kth0,
-        )
-    else:
-        rest_entries = _sharded_join_topk(
-            engine, left, right, rest_pairs, rest_lbs, k, metric, resolved,
-            workers, kth0=kth0, mode=("tree", int(k)),
-        )
+    rest_entries = _scan_topk(
+        engine, workers, left, right, rest_pairs, rest_lbs, k, metric,
+        resolved, sides=sides, kth0=kth0, slab_mode=("tree", int(k)),
+    )
     return merge_join_topk([list(head_entries), list(rest_entries)], k)
 
 
-def _sharded_join_topk(engine, left, right, pairs, lbs, k, metric, resolved,
-                       workers, *, kth0=math.inf, mode="grid"):
-    """Deal the (ordered) pair list into chunks sharing the k-th best."""
-    exec_ = engine._exec
-    index_left, fps_left = corpus_index_for(engine, left, resolved)
-    index_right, fps_right = corpus_index_for(engine, right, resolved)
-    self_join = fps_left == fps_right
-    with exec_.scan_lock:
-        try:
-            exec_.shm.begin_batch()
-            left_ref = _share_corpus(engine, index_left, fps_left)
-            right_ref = (
-                left_ref if self_join
-                else _share_corpus(engine, index_right, fps_right)
-            )
-            slabs = {"pairs": pairs}
-            if lbs is not None:
-                slabs["lbs"] = lbs
-            pairs_ref = exec_.share_index(
-                planner.topk_pairs_slab_key(
-                    fps_left, fps_right, resolved, lbs is not None, mode
-                ),
-                slabs,
-            )
-            corpus_payload = _corpus_payloads(
-                left_ref, right_ref, _points_list(left), _points_list(right),
-                self_join,
-            )
-            tasks = [
-                _worker.JoinTopKChunkTask(
-                    k=int(k),
-                    metric=metric,
-                    seed_kth=float(kth0),
-                    pairs=None if pairs_ref is not None
-                    else pairs[start::stride],
-                    pairs_ref=pairs_ref,
-                    pair_start=start if pairs_ref is not None else 0,
-                    pair_stride=stride if pairs_ref is not None else 1,
-                    pair_lbs=(
-                        None if pairs_ref is not None or lbs is None
-                        else lbs[start::stride]
-                    ),
-                    sync_every=exec_.bsf_sync_every,
-                    **corpus_payload,
-                )
-                for start, stride in planner.plan_pair_strides(
-                    len(pairs), workers, exec_.chunks_per_worker
-                )
-            ]
+def _scan_topk(engine, workers, left, right, pairs, lbs, k, metric, resolved,
+               *, sides=None, kth0=math.inf, slab_mode="grid"):
+    """Heap scan of a top-k candidate list: serial, or dealt in chunks.
 
-            def inline(tasks):
-                # Thread the k-th best between chunks the way the shared
-                # value does across processes.
-                out = []
-                kth_carry = math.inf
-                for task in tasks:
-                    entries = _worker.join_topk_chunk(
-                        dataclasses.replace(
-                            task, seed_kth=min(task.seed_kth, kth_carry)
-                        )
-                    )
-                    if len(entries) == task.k:
-                        kth_carry = min(kth_carry, entries[-1][0])
-                    out.append(entries)
-                return out
-
-            parts = exec_.dispatch_chunks(
-                tasks, workers, _worker.join_topk_chunk, inline
-            )
-        finally:
-            exec_.shm.trim()
+    ``lbs`` (ascending per-pair lower bounds, or None) lets each scan
+    stop at the first bound beyond its cut.  Dealt chunks share the
+    k-th best through the engine's threshold and merge exactly.
+    """
+    if not _deals(engine._exec, workers, len(pairs)):
+        return scan_join_topk(
+            _points_getter(left), _points_getter(right), pairs, k, resolved,
+            bounds=lbs, ordered=lbs is not None, kth0=kth0,
+        )
+    sides = sides or _sides(engine, left, right, resolved)
+    (_, _, fps_left), (_, _, fps_right) = sides
+    parts = _deal_pairs(
+        engine, workers, sides, pairs,
+        planner.topk_pairs_slab_key(fps_left, fps_right, resolved,
+                                    lbs is not None, slab_mode),
+        functools.partial(
+            _worker.JoinTopKChunkTask, k=int(k), metric=metric,
+            seed_kth=float(kth0), sync_every=engine._exec.bsf_sync_every,
+        ),
+        _worker.join_topk_chunk,
+        lbs=lbs,
+        inline=_thread_kth,
+    )
     return merge_join_topk(parts, k)
+
+
+def _thread_kth(tasks):
+    """Run top-k chunks in turn, threading the k-th best between them
+    the way the shared threshold does across processes."""
+    out = []
+    kth_carry = math.inf
+    for task in tasks:
+        entries = _worker.join_topk_chunk(
+            dataclasses.replace(task, seed_kth=min(task.seed_kth, kth_carry))
+        )
+        if len(entries) == task.k:
+            kth_carry = min(kth_carry, entries[-1][0])
+        out.append(entries)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -668,12 +614,13 @@ def run_knn(engine, query, corpus, k, metric, use_index):
 def run_cluster(engine, trajectory, *, window_length, theta, stride,
                 min_cluster_size, metric, workers, use_index,
                 with_stats=False):
-    """Window clustering through the engine's tiled candidate path.
+    """Window clustering through the engine's pair-chunk pipeline.
 
     The serial extension enumerates all O(W^2) non-overlapping window
     pairs in Python; here the same pair list is (optionally) pruned by
-    a window-level :class:`CorpusIndex` and cascaded across the pool in
-    candidate-pair chunks, with the one trajectory's windows riding a
+    a window-level :class:`CorpusIndex` and verified like a join's
+    candidates -- serially or dealt in pair chunks by
+    :func:`_deal_pairs`, with the one trajectory's windows riding a
     single published transport segment.  The surviving edge set is
     identical (the bounds are admissible and the cascade exact), and
     edges union in sorted order -- the exact union-find evolution of
@@ -691,7 +638,6 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
 
     traj = _as_trajectory(trajectory)
     resolved = get_metric(metric, crs=traj.crs)
-    exec_ = engine._exec
     if workers < 2 and not use_index and not with_stats:
         return cluster_subtrajectories(
             traj, window_length=window_length, theta=theta, stride=stride,
@@ -715,7 +661,6 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
         if cascade_stats is not None:
             info["cascade"] = {
                 "pruned_endpoint": cascade_stats.pruned_endpoint,
-                "pruned_bbox": cascade_stats.pruned_bbox,
                 "pruned_hausdorff": cascade_stats.pruned_hausdorff,
                 "decisions": cascade_stats.decisions,
                 "accepted_upper": cascade_stats.accepted_upper,
@@ -731,69 +676,34 @@ def run_cluster(engine, trajectory, *, window_length, theta, stride,
             [],
         )
     mode = planner.normalize_index_mode(use_index)
+    windex = None
+    candidates = pair_grid
     if mode:
-        fp = (
-            "cwindex", fingerprint_points(traj), int(window_length),
-            int(stride), metric_key(resolved),
-        )
         windex = engine._oracles.tables.get_or_build(
-            fp, lambda: CorpusIndex(windows, resolved)
+            ("cwindex", fingerprint_points(traj), int(window_length),
+             int(stride), metric_key(resolved)),
+            lambda: CorpusIndex(windows, resolved),
         )
         candidates, index_stats = windex.candidate_pairs(
             None, theta, pairs=pair_grid,
             mode="tree" if mode == "tree" else "grid",
         )
+    if _deals(engine._exec, workers, len(candidates)):
+        fps = ("windows", fingerprint_points(traj), int(window_length),
+               int(stride))
+        if windex is None:
+            windex = CorpusIndex(windows, resolved)
+        side = (windows, windex, fps)
+        edges, cascade_stats = _verify_chunks(
+            engine, workers, (side, side), candidates,
+            planner.pairs_slab_key(fps + (mode,), fps, resolved, theta),
+            theta, resolved,
+        )
     else:
-        windex = CorpusIndex(windows, resolved)
-        candidates = pair_grid
-    n_chunks = planner.n_chunks_for(workers, exec_.chunks_per_worker)
-    if not exec_.can_shard(workers) or len(candidates) < 2 or n_chunks < 2:
         edges, cascade_stats = join_pairs(
             _points_getter(windows), _points_getter(windows),
             candidates, theta, resolved,
         )
-    else:
-        fps = ("windows", fingerprint_points(traj), int(window_length),
-               int(stride))
-        with exec_.scan_lock:
-            try:
-                exec_.shm.begin_batch()
-                corpus_ref = exec_.share_index(
-                    planner.corpus_slab_key(fps), windex.transport_slabs()
-                )
-                pairs_ref = exec_.share_index(
-                    planner.pairs_slab_key(fps + (mode,),
-                                           fps, resolved, theta),
-                    {"pairs": candidates},
-                )
-                tasks = [
-                    _worker.PairsJoinTask(
-                        theta=theta,
-                        metric=resolved,
-                        pairs=None if pairs_ref is not None
-                        else candidates[start::stride_],
-                        pairs_ref=pairs_ref,
-                        pair_start=start if pairs_ref is not None else 0,
-                        pair_stride=stride_ if pairs_ref is not None else 1,
-                        left_points=None if corpus_ref is not None
-                        else windows,
-                        left_ref=corpus_ref,
-                    )
-                    for start, stride_ in planner.plan_pair_strides(
-                        len(candidates), workers, exec_.chunks_per_worker
-                    )
-                ]
-                with obs.span("engine.dispatch", tasks=len(tasks)):
-                    parts = exec_.map_tasks(tasks, workers,
-                                            _worker.pairs_join_tile)
-            finally:
-                exec_.shm.trim()
-        edges = []
-        tile_stats = []
-        for part_matches, part_stats in parts:
-            edges.extend(part_matches)
-            tile_stats.append(part_stats)
-        cascade_stats = merge_join_stats(tile_stats)
     edges.sort()  # serial discovery order -> identical union-find state
     return answer(
         clusters_from_edges(starts, edges, window_length, min_cluster_size),

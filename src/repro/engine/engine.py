@@ -10,14 +10,14 @@ collaborators together:
 
 * :mod:`repro.engine.planner` -- pure query planning: item parsing,
   content-addressed cache keys, parallelism decisions,
-  chunk/stride/tile layout.  Unit-testable without a pool.
+  chunk/stride layout.  Unit-testable without a pool.
 * :mod:`repro.engine.oracles` -- the cache layer
   (:class:`~repro.engine.oracles.OracleManager`): dense/lazy/matrix
   ground oracles, bound tables, group levels and whole results, all
   keyed by content fingerprint.
 * :mod:`repro.engine.executor` -- the execution backend
   (:class:`~repro.engine.executor.EngineExecutor`): pool lifecycle,
-  chunk/tile dispatch with inline fallbacks, shared-memory slab
+  chunk dispatch with inline fallbacks, shared-memory slab
   publication and the transfer accounting behind
   :meth:`transfer_info`.
 * :mod:`repro.engine.corpus` -- collection-level workloads (similarity
@@ -482,16 +482,16 @@ class MotifEngine:
         workers: Optional[int] = None,
         index: Union[bool, str, None] = None,
     ):
-        """DFD similarity join, sharding the candidate pairs into tiles.
+        """DFD similarity join, dealing the candidate pairs in chunks.
 
-        Unindexed (default): both collections are sliced into a tile
-        grid, so even a single left trajectory against a large right
-        collection parallelises; each tile runs the full filter cascade
-        on its pair block.  With ``index=True`` a
+        Unindexed (default) every pair is a candidate; with
+        ``index=True`` / ``"grid"`` / ``"tree"`` a
         :class:`repro.index.CorpusIndex` prunes the pair grid first
-        (admissible lower bounds + endpoint-grid bucketing) and only
-        the surviving candidate pairs are dealt across the pool, each
-        task carrying refs into the published corpus arrays.  Matches
+        (admissible lower bounds, endpoint-grid bucketing or the
+        dual-tree walk).  Either way the candidate pairs are dealt
+        round-robin across the pool -- even a single left trajectory
+        against a large right collection parallelises -- each task
+        carrying refs into the published corpus arrays.  Matches
         are identical on every path and re-sort to the serial
         (left-major) order; the filter statistics fold additively
         (indexed runs account the index's share in ``pruned_index``).
@@ -655,7 +655,7 @@ class MotifEngine:
         index: Union[bool, str, None] = None,
         with_stats: bool = False,
     ):
-        """Window clustering through the engine's tiled candidate path.
+        """Window clustering through the engine's pair-chunk pipeline.
 
         Same answer as
         :func:`repro.extensions.clustering.cluster_subtrajectories`;

@@ -1,7 +1,7 @@
 """Execution backend of the :class:`~repro.engine.MotifEngine`.
 
 Everything that *runs* a plan lives here: process-pool lifecycle,
-chunk/tile task dispatch with inline fallbacks, shared-memory slab
+chunk task dispatch with inline fallbacks, shared-memory slab
 publication, and the transfer accounting that
 :meth:`MotifEngine.transfer_info` reports.  The module pairs with the
 pure planner (:mod:`repro.engine.planner`) and the cache layer
@@ -21,7 +21,7 @@ The executor owns four mechanisms:
 * **Dispatch** -- the chunked discover/top-k scans (shared-threshold
   protocol, OSError fallback to inline), the grouped-GTM phase (band
   reductions + per-pair group DPs sharded across the pool, serial
-  decision replay), and plain tile maps for joins.
+  decision replay), and plain maps of corpus-join pair chunks.
 * **Transfer accounting** -- every pool-bound task is inspected for
   what it ships through the pipe vs by reference; the counters are the
   contract the scaling benchmark asserts (zero dense / bound / level /
@@ -42,6 +42,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -169,8 +170,8 @@ class EngineExecutor:
         )
 
     def can_shard(self, workers: int) -> bool:
-        """Whether tiling pays off: a real pool, or the (deterministic)
-        inline executor the parity tests sweep."""
+        """Whether dealing chunks pays off: a real pool, or the
+        (deterministic) inline executor the parity tests sweep."""
         return workers > 1 and (self.kind == "inline" or fork_context() is not None)
 
     def get_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -180,6 +181,12 @@ class EngineExecutor:
         if self._pool is not None and self._pool_workers != workers:
             self.close_pool()
         if self._pool is None:
+            # Start the parent's resource tracker before the fork, so
+            # the workers inherit it.  A worker forked without one
+            # starts its own on its first shm attach, and at exit that
+            # tracker "cleans up" segments the parent already unlinked
+            # (leaked-shared_memory warnings on stderr).
+            resource_tracker.ensure_running()
             self._shared_bsf = ctx.Value("d", math.inf)
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,

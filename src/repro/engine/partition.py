@@ -27,7 +27,6 @@ task must carry its slice through the pool pipe anyway.
 
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 import numpy as np
@@ -89,31 +88,3 @@ def plan_strides(n_subsets: int, n_chunks: int) -> List[Tuple[int, int]]:
     n_chunks = min(n_chunks, max(1, n_subsets))
     return [(k, n_chunks) for k in range(n_chunks)]
 
-
-def plan_tiles(
-    n_left: int, n_right: int, n_tiles: int
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Partition a join's ``left x right`` pair grid into ~``n_tiles`` tiles.
-
-    Both collections are split into contiguous index ranges and every
-    (left range, right range) combination becomes one tile, so the
-    union of tiles covers each pair exactly once.  Splitting *both*
-    sides is what keeps degenerate shapes parallel: a single left
-    trajectory against a large right collection still yields
-    ``n_tiles`` right-side slices (the regression the old
-    left-only chunking failed).
-    """
-    if n_left < 1 or n_right < 1:
-        return []
-    n_tiles = max(1, min(int(n_tiles), n_left * n_right))
-    l_parts = min(n_left, max(1, round(math.sqrt(n_tiles))))
-    r_parts = min(n_right, max(1, math.ceil(n_tiles / l_parts)))
-    # When one side saturates (fewer items than its share), hand the
-    # leftover parallelism to the other side.
-    l_parts = min(n_left, max(l_parts, math.ceil(n_tiles / r_parts)))
-    return [
-        (left_idx, right_idx)
-        for left_idx in np.array_split(np.arange(n_left), l_parts)
-        for right_idx in np.array_split(np.arange(n_right), r_parts)
-        if len(left_idx) and len(right_idx)
-    ]

@@ -5,7 +5,7 @@ or oracle exists lives here: parsing query items, deriving the
 content-addressed cache keys (oracle, bound-table, group-level and
 result keys all flow from the same fingerprints, which is what makes
 answers workers-independent), choosing whether a query parallelises,
-and laying out the chunk / stride / tile partitions the executor will
+and laying out the chunk / stride partitions the executor will
 dispatch.  The module is deliberately side-effect free -- every
 function is a pure map from query description to plan, so the planner
 is unit-testable without ever touching a process pool
@@ -17,15 +17,14 @@ The facade flow is::
     oracle = oracles.dense_oracle()  # oracle manager: cached builds
     executor.scan(plan, ...)         # executor: pools, shm, dispatch
 
-:func:`plan_chunks` / :func:`plan_strides` / :func:`plan_tiles` (the
-low-level partition maths) stay in :mod:`repro.engine.partition`; the
+:func:`plan_chunks` / :func:`plan_strides` (the low-level partition
+maths) stay in :mod:`repro.engine.partition`; the
 planner composes them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +34,7 @@ from ..core.problem import SearchSpace, cross_space, self_space
 from ..errors import ReproError
 from ..trajectory import Trajectory
 from .cache import fingerprint_points, metric_key
-from .partition import plan_chunks, plan_strides, plan_tiles  # noqa: F401  (re-export)
+from .partition import plan_chunks, plan_strides  # noqa: F401  (re-export)
 
 
 # ----------------------------------------------------------------------
@@ -339,38 +338,11 @@ def should_partition(workers: int, seed, approx_factor: float) -> bool:
     return workers > 1 and seed is None and float(approx_factor) == 1.0
 
 
-@dataclass(frozen=True)
-class JoinPlan:
-    """Tile layout of one sharded similarity join."""
-
-    tiles: list
-
-    @property
-    def sharded(self) -> bool:
-        return len(self.tiles) >= 2
-
-
-def plan_join(
-    n_left: int, n_right: int,
-    *,
-    workers: int,
-    chunks_per_worker: int,
-    can_shard: bool,
-) -> JoinPlan:
-    """Plan one unindexed join: the (possibly empty) tile grid."""
-    tiles = (
-        plan_tiles(n_left, n_right, n_chunks_for(workers, chunks_per_worker))
-        if can_shard
-        else []
-    )
-    return JoinPlan(tiles=tiles)
-
-
 def plan_pair_strides(n_pairs: int, workers: int, chunks_per_worker: int):
     """Round-robin ``(start, stride)`` shares of a candidate-pair list.
 
-    Indexed joins and pair-chunked scans deal the candidate pairs the
-    same way the chunk scan deals subset positions: chunk ``k`` owns
+    Every corpus join deals its candidate pairs the same way the chunk
+    scan deals subset positions: chunk ``k`` owns
     pairs ``k :: n_chunks``, so every chunk holds a representative mix
     of cheap and expensive pairs (the index orders candidates by lower
     bound, which concentrates the expensive near-pairs at the front).

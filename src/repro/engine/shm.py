@@ -20,8 +20,9 @@ name on first use and keep the mapping in a per-process LRU, so a warm
 worker serves repeated trajectories with zero recomputation and zero
 dense pickling.
 
-:class:`SharedMatrixStore` survives as the single-matrix veneer (one
-``"matrix"`` slab per key) used for dense ``dG`` publication.
+Dense ``dG`` publication passes a bare ndarray to
+:meth:`SharedArrayStore.publish`, stored as the single ``"matrix"``
+slab (:func:`attach_matrix`).
 
 Lifecycle rules (the subtle part):
 
@@ -36,7 +37,9 @@ Lifecycle rules (the subtle part):
   *forked*, so they share the parent's tracker process, registration
   is set-idempotent, and an attach-side unregister would strip the
   parent's own registration (the tracker then KeyErrors when the
-  parent finally unlinks).
+  parent finally unlinks).  Sharing the tracker needs it running
+  *before* the fork; :meth:`EngineExecutor.get_pool` starts it, since
+  a pool can fork before the parent has created any segment.
 * ``SharedArrayStore.close()`` unlinks everything; the engine calls it
   from :meth:`MotifEngine.close` after the pool has shut down, which is
   what the leak tests in ``tests/test_engine_warm.py`` pin down.
@@ -243,14 +246,6 @@ class SharedArrayStore:
             self.close()
         except Exception:
             pass
-
-
-class SharedMatrixStore(SharedArrayStore):
-    """The single-matrix veneer over :class:`SharedArrayStore`.
-
-    Kept for the dense-``dG`` call sites and their tests; ``publish``
-    accepts a bare ndarray (stored as the ``"matrix"`` slab).
-    """
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything here is module-level and operates on plain picklable
 payloads, because these functions execute inside ``concurrent.futures``
-worker processes.  Four task shapes exist:
+worker processes.  The task shapes:
 
 * :func:`scan_chunk` -- best-first scan over one chunk of a single
   query's candidate subsets (intra-query parallelism).  Workers share a
@@ -21,8 +21,10 @@ worker processes.  Four task shapes exist:
   published the query's dense ground matrix to shared memory
   (:mod:`repro.engine.shm`), the worker attaches to it by fingerprint
   instead of recomputing ``dG`` -- the warm-worker path.
-* :func:`join_tile` -- one tile of a sharded DFD similarity join
-  (both collections sliced).
+* :func:`join_pairs_chunk` / :func:`join_topk_chunk` -- one strided
+  share of a corpus join's candidate-pair list (threshold join and
+  window clustering, or the top-k closest-pair join), with the corpus
+  and the pairs attached from published transport slabs.
 * :func:`group_reduce` / :func:`group_dfd_chunk` -- shards of GTM's
   grouping phase: a band of block min/max reductions over the shared
   ``dG``, and a batch of per-pair ``GLB_DFD``/``GUB_DFD`` group DPs
@@ -422,35 +424,8 @@ def run_query(task: QueryTask) -> MotifResult:
     return result
 
 
-@dataclass(frozen=True)
-class JoinTask:
-    """One tile of a similarity join's left x right pair grid."""
-
-    left: Sequence
-    right: Sequence
-    theta: float
-    metric: object
-    left_offset: int  # absolute index of left[0] in the full collection
-    right_offset: int  # absolute index of right[0] in the full collection
-    trace: Optional[Tuple[str, str]] = None  # see ChunkTask.trace
-
-
-def join_tile(task: JoinTask):
-    """Join one (left slice, right slice) tile; absolute-index matches."""
-    fail_at("worker.task")
-    from ..extensions.join import similarity_join
-
-    return similarity_join(
-        task.left,
-        task.right,
-        task.theta,
-        task.metric,
-        offsets=(task.left_offset, task.right_offset),
-    )
-
-
 # ----------------------------------------------------------------------
-# Indexed corpus workloads (candidate-pair tiles)
+# Corpus joins (candidate-pair chunks)
 # ----------------------------------------------------------------------
 def _attach_corpus_slabs(ref):
     """Attach one corpus transport ref: shared memory or snapshot files."""
@@ -480,22 +455,34 @@ def _resolve_corpus(inline_points, ref):
     return lambda i: slab_points(slabs, i)
 
 
-def _resolve_pairs(task):
-    """A task's candidate pairs: inline array or a strided shm share."""
-    if task.pairs is not None:
-        pairs = np.asarray(task.pairs, dtype=np.int64).reshape(-1, 2)
-    else:
-        if task.pairs_ref is None:
+def _resolve_sides(task):
+    """A pair task's ``(get_left, get_right)`` point callables."""
+    get_left = _resolve_corpus(task.left_points, task.left_ref)
+    if task.right_points is None and task.right_ref is None:
+        return get_left, get_left  # self-join: one transport segment
+    return get_left, _resolve_corpus(task.right_points, task.right_ref)
+
+
+def _resolve_share(task, field: str):
+    """One slab of a task's pair share: ``"pairs"`` or ``"lbs"``.
+
+    Inline tasks carry their share already sliced; by-reference tasks
+    take the strided ``pair_start :: pair_stride`` view of the
+    published slab.  ``None`` when the share has no such slab.
+    """
+    if task.pairs_ref is None:
+        if task.pairs is None:
             raise ReproError("task carries neither pairs nor a pairs_ref")
-        pairs = attach_slabs(task.pairs_ref)["pairs"]
-    if task.pair_stride != 1 or task.pair_start != 0:
-        pairs = pairs[task.pair_start::task.pair_stride]
-    return pairs
+        return task.pairs if field == "pairs" else task.pair_lbs
+    slab = attach_slabs(task.pairs_ref).get(field)
+    if slab is None:
+        return None
+    return slab[task.pair_start::task.pair_stride]
 
 
 @dataclass(frozen=True)
-class PairsJoinTask:
-    """One chunk of an indexed join's candidate-pair list.
+class JoinPairsChunkTask:
+    """One chunk of a threshold join's candidate-pair list.
 
     The corpus points travel by reference into the published index
     transport slabs (``left_ref`` / ``right_ref``; ``right_ref`` may
@@ -519,19 +506,14 @@ class PairsJoinTask:
     trace: Optional[Tuple[str, str]] = None  # see ChunkTask.trace
 
 
-def pairs_join_tile(task: PairsJoinTask):
+def join_pairs_chunk(task: JoinPairsChunkTask):
     """Cascade one candidate-pair chunk; absolute-index matches."""
     fail_at("worker.task")
     from ..extensions.join import join_pairs
 
-    get_left = _resolve_corpus(task.left_points, task.left_ref)
-    if task.right_points is None and task.right_ref is None:
-        get_right = get_left  # self-join: one transport segment
-    else:
-        get_right = _resolve_corpus(task.right_points, task.right_ref)
-    return join_pairs(
-        get_left, get_right, _resolve_pairs(task), task.theta, task.metric
-    )
+    get_left, get_right = _resolve_sides(task)
+    return join_pairs(get_left, get_right, _resolve_share(task, "pairs"),
+                      task.theta, task.metric)
 
 
 @dataclass(frozen=True)
@@ -566,24 +548,12 @@ def join_topk_chunk(task: JoinTopKChunkTask):
     fail_at("worker.task")
     from ..extensions.join import scan_join_topk
 
-    get_left = _resolve_corpus(task.left_points, task.left_ref)
-    if task.right_points is None and task.right_ref is None:
-        get_right = get_left
-    else:
-        get_right = _resolve_corpus(task.right_points, task.right_ref)
-    pairs = _resolve_pairs(task)
-    bounds = task.pair_lbs
-    if bounds is None and task.pairs_ref is not None:
-        slabs = attach_slabs(task.pairs_ref)
-        if "lbs" in slabs:
-            lbs = slabs["lbs"]
-            if task.pair_stride != 1 or task.pair_start != 0:
-                lbs = lbs[task.pair_start::task.pair_stride]
-            bounds = lbs
+    get_left, get_right = _resolve_sides(task)
+    bounds = _resolve_share(task, "lbs")
     return scan_join_topk(
         get_left,
         get_right,
-        pairs,
+        _resolve_share(task, "pairs"),
         task.k,
         task.metric,
         bounds=bounds,

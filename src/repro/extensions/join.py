@@ -9,36 +9,31 @@ lower-bound filters before the exact decision:
 1. **endpoint filter** -- any coupling matches the first points and the
    last points of both curves, so
    ``max(d(p_0, q_0), d(p_{n-1}, q_{m-1})) <= DFD``;
-2. **bounding-box filter** -- every coupled pair is one point from
-   each trajectory, so the minimum box-to-box distance lower-bounds
-   the DFD;
-3. **Hausdorff filter** -- every point of each trajectory appears in
+2. **Hausdorff filter** -- every point of each trajectory appears in
    some coupled pair, hence both directed Hausdorff distances (and so
    their max) lower-bound the DFD;
-4. **exact decision** -- batched over blocks of surviving pairs
+3. **exact decision** -- batched over blocks of surviving pairs
    (:func:`repro.distances.kernels.verify_batch`): a pair whose
    diagonal coupling stays within ``theta`` is accepted outright, the
    rest run the vectorised reachability sweep
    :func:`repro.distances.kernels.decide_batch` at ``theta``.
 
-Filters 1-2 are O(1)-ish, filter 3 needs the O(nm) ground matrix that
-step 4 reuses.  The bounding-box filter applies to every
-*coordinate-monotone* ground metric
-(:attr:`~repro.distances.ground.GroundMetric.coordinate_monotone`,
-e.g. Euclidean and Chebyshev): the axis-wise closest-point
-construction minimises every per-axis difference simultaneously, hence
-the metric value too.
+Filter 1 is O(1), filter 2 needs the O(nm) ground matrix that step 3
+reuses.  A bounding-box filter would add nothing: each start point lies
+in its own box, so the box gap of a pair never exceeds its start-point
+distance, and filter 1 already prunes every pair such a filter would.
 
 ``index=True`` puts a :class:`~repro.index.CorpusIndex` in front of the
-cascade: per-trajectory summaries (endpoints, boxes, Douglas-Peucker
+cascade: per-trajectory summaries (endpoints, Douglas-Peucker
 simplifications with exact DFD error radii) plus endpoint-grid
 bucketing prune most pairs before any of the per-pair filters run.
 The pruning is admissible, so the *matches* are identical to the
 unindexed path; the filter statistics account the index's share in
-``pruned_index``.  :func:`join_pairs` is the candidate-list core every
-join path (unindexed, indexed, serial and engine-sharded) shares, and
-:func:`scan_join_topk` the analogous core of the top-k closest-pair
-join :func:`join_top_k`.
+``pruned_index``.  Every join is a candidate source (all pairs, or
+the index's survivors) feeding :func:`join_pairs`, the candidate-list
+core that the serial functions here and the engine's pair chunks
+share; :func:`scan_join_topk` is the analogous core of the top-k
+closest-pair join :func:`join_top_k`.
 """
 
 from __future__ import annotations
@@ -54,8 +49,9 @@ from ..distances.frechet import dfd_matrix
 from ..distances.ground import GroundMetric, get_metric
 from ..distances.hausdorff import directed_hausdorff_matrix
 from ..distances.kernels import VERIFY_BLOCK, verify_batch
-from ..errors import TrajectoryError
+from ..index import CorpusIndex, all_pairs
 from ..trajectory import Trajectory
+from ..trajectory.trajectory import validate_points
 
 #: One top-k closest-pair entry: ``(distance, (left index, right index))``.
 JoinTopKEntry = Tuple[float, Tuple[int, int]]
@@ -68,9 +64,8 @@ class JoinStats:
     pairs_total: int = 0
     pruned_index: int = 0
     pruned_endpoint: int = 0
-    pruned_bbox: int = 0
     pruned_hausdorff: int = 0
-    #: Pairs that survived filters 1-3 and were decided exactly.
+    #: Pairs that survived filters 1-2 and were decided exactly.
     decisions: int = 0
     matches: int = 0
     details: dict = field(default_factory=dict)
@@ -82,7 +77,6 @@ class JoinStats:
         return (
             self.pruned_index
             + self.pruned_endpoint
-            + self.pruned_bbox
             + self.pruned_hausdorff
         )
 
@@ -98,7 +92,6 @@ def merge_join_stats(parts: Sequence[JoinStats]) -> JoinStats:
         total.pairs_total += part.pairs_total
         total.pruned_index += part.pruned_index
         total.pruned_endpoint += part.pruned_endpoint
-        total.pruned_bbox += part.pruned_bbox
         total.pruned_hausdorff += part.pruned_hausdorff
         total.decisions += part.decisions
         total.accepted_upper += part.accepted_upper
@@ -110,17 +103,12 @@ def merge_join_stats(parts: Sequence[JoinStats]) -> JoinStats:
 def _points_getter(items: Sequence) -> Callable[[int], np.ndarray]:
     """Adapt a trajectory sequence into an index -> points callable.
 
-    The join's one input check: non-finite coordinates raise
-    :class:`~repro.errors.TrajectoryError` here, before any pair is
-    examined -- the same error the indexed paths raise when their
-    summaries are built.
+    The join's input check runs here, before any pair is examined:
+    :func:`~repro.trajectory.trajectory.validate_points`, the same check
+    the corpus index runs, so every join path raises the same
+    :class:`~repro.errors.TrajectoryError` for the same input.
     """
-    arrays = [
-        np.asarray(getattr(t, "points", t), dtype=np.float64) for t in items
-    ]
-    for pts in arrays:
-        if not np.isfinite(pts).all():
-            raise TrajectoryError("points contain NaN or infinite coordinates")
+    arrays = [validate_points(getattr(t, "points", t)) for t in items]
     return lambda i: arrays[i]
 
 
@@ -129,30 +117,34 @@ def similarity_join(
     right: Sequence[Union[Trajectory, np.ndarray]],
     theta: float,
     metric: Union[str, GroundMetric] = "euclidean",
-    offsets: Tuple[int, int] = (0, 0),
     index: bool = False,
 ) -> Tuple[List[Tuple[int, int]], JoinStats]:
     """All pairs ``(a, b)`` with ``DFD(left[a], right[b]) <= theta``.
 
-    Returns the matching index pairs and the filter statistics.
-    ``offsets`` shifts the reported indices -- a tile of a sharded join
-    (see :meth:`repro.engine.MotifEngine.join`) passes the absolute
-    positions of its first left/right trajectory so per-tile matches
-    land directly in collection coordinates.  With ``index=True`` a
-    :class:`~repro.index.CorpusIndex` generates the candidate pairs
-    first; the matches are identical (the index bounds are admissible)
-    and the pairs it removed are accounted in ``stats.pruned_index``.
-    Without the index every pair is a candidate of :func:`join_pairs`.
+    Returns the matching index pairs and the filter statistics.  With
+    ``index=True`` a :class:`~repro.index.CorpusIndex` generates the
+    candidate pairs first; the matches are identical (the index bounds
+    are admissible) and the pairs it removed are accounted in
+    ``stats.pruned_index``.  Without the index every pair is a
+    candidate of :func:`join_pairs`.
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    if index:
-        return _indexed_join(left, right, theta, metric, offsets)
     get_left, get_right = _points_getter(left), _points_getter(right)
-    pairs = np.stack(np.divmod(
-        np.arange(len(left) * len(right)), max(len(right), 1)
-    ), axis=1)
-    return join_pairs(get_left, get_right, pairs, theta, metric, offsets)
+    if not index:
+        return join_pairs(get_left, get_right,
+                          all_pairs(len(left), len(right)), theta, metric)
+    if not len(left) or not len(right):
+        return [], JoinStats()
+    m = get_metric(metric)
+    pairs, index_stats = CorpusIndex(left, m).candidate_pairs(
+        CorpusIndex(right, m), theta
+    )
+    matches, stats = join_pairs(get_left, get_right, pairs, theta, m)
+    stats.pairs_total = len(left) * len(right)
+    stats.pruned_index = stats.pairs_total - len(pairs)
+    stats.details["index"] = index_stats.as_dict()
+    return matches, stats
 
 
 def join_pairs(
@@ -161,7 +153,6 @@ def join_pairs(
     pairs,
     theta: float,
     metric: Union[str, GroundMetric] = "euclidean",
-    offsets: Tuple[int, int] = (0, 0),
 ) -> Tuple[List[Tuple[int, int]], JoinStats]:
     """The filter cascade over an explicit candidate-pair list.
 
@@ -175,7 +166,7 @@ def join_pairs(
     only the candidates scanned here -- callers fold the index's own
     accounting on top.
 
-    Filters 1-3 run per pair; the pairs they cannot prune queue their
+    Filters 1-2 run per pair; the pairs they cannot prune queue their
     ground matrices for the verify stage, which settles them
     :data:`~repro.distances.kernels.VERIFY_BLOCK` at a time
     (:func:`~repro.distances.kernels.verify_batch`).  Matches keep the
@@ -183,10 +174,7 @@ def join_pairs(
     """
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    off_a, off_b = (int(offsets[0]), int(offsets[1]))
     m = get_metric(metric)
-    boxes_l: dict = {}
-    boxes_r: dict = {}
     stats = JoinStats(pairs_total=len(pairs))
     matches: List[Tuple[int, int]] = []
     block_pairs: List[Tuple[int, int]] = []
@@ -207,20 +195,7 @@ def join_pairs(
         if m.distance(p[0], q[0]) > theta or m.distance(p[-1], q[-1]) > theta:
             stats.pruned_endpoint += 1
             continue
-        # Filter 2: bounding boxes.  The closest-point construction is
-        # exact for every coordinate-monotone ground metric (Euclidean,
-        # Chebyshev); other metrics skip the filter.
-        if m.coordinate_monotone:
-            box_p = boxes_l.get(a)
-            if box_p is None:
-                box_p = boxes_l[a] = _bbox(p)
-            box_q = boxes_r.get(b)
-            if box_q is None:
-                box_q = boxes_r[b] = _bbox(q)
-            if _boxes_apart(box_p, box_q, theta, m):
-                stats.pruned_bbox += 1
-                continue
-        # Filter 3: symmetric Hausdorff from the shared matrix.
+        # Filter 2: symmetric Hausdorff from the shared matrix.
         dmat = m.pairwise(p, q)
         h = max(
             directed_hausdorff_matrix(dmat),
@@ -229,33 +204,14 @@ def join_pairs(
         if h > theta:
             stats.pruned_hausdorff += 1
             continue
-        # Filter 4: exact decision, batched.
+        # Filter 3: exact decision, batched.
         stats.decisions += 1
-        block_pairs.append((a + off_a, b + off_b))
+        block_pairs.append((a, b))
         block_mats.append(dmat)
         if len(block_mats) == VERIFY_BLOCK:
             verify_block()
     if block_mats:
         verify_block()
-    return matches, stats
-
-
-def _indexed_join(left, right, theta, metric, offsets):
-    """Serial indexed join: index candidates, then the pair cascade."""
-    from ..index import CorpusIndex
-
-    if not len(left) or not len(right):
-        return [], JoinStats()
-    m = get_metric(metric)
-    index_left = CorpusIndex(left, m)
-    index_right = CorpusIndex(right, m)
-    pairs, index_stats = index_left.candidate_pairs(index_right, theta)
-    matches, stats = join_pairs(
-        _points_getter(left), _points_getter(right), pairs, theta, m, offsets
-    )
-    stats.pairs_total = len(left) * len(right)
-    stats.pruned_index = stats.pairs_total - len(pairs)
-    stats.details["index"] = index_stats.as_dict()
     return matches, stats
 
 
@@ -299,8 +255,6 @@ def scan_join_topk(
         return -heap[0][0] if len(heap) == k else math.inf
 
     external = float(kth0)
-    boxes_l: dict = {}
-    boxes_r: dict = {}
     for count, (a, b) in enumerate(pairs):
         a, b = int(a), int(b)
         if sync is not None and count % sync_every == 0:
@@ -313,15 +267,6 @@ def scan_join_topk(
         p, q = get_left(a), get_right(b)
         if m.distance(p[0], q[0]) > cut or m.distance(p[-1], q[-1]) > cut:
             continue
-        if m.coordinate_monotone:
-            box_p = boxes_l.get(a)
-            if box_p is None:
-                box_p = boxes_l[a] = _bbox(p)
-            box_q = boxes_r.get(b)
-            if box_q is None:
-                box_q = boxes_r[b] = _bbox(q)
-            if _boxes_apart(box_p, box_q, cut, m):
-                continue
         dmat = m.pairwise(p, q)
         h = max(
             directed_hausdorff_matrix(dmat),
@@ -360,31 +305,8 @@ def join_top_k(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    n_left, n_right = len(left), len(right)
-    pair_iter = (
-        (a, b) for a in range(n_left) for b in range(n_right)
-    )
     return scan_join_topk(
-        _points_getter(left), _points_getter(right), list(pair_iter), k, metric
+        _points_getter(left), _points_getter(right),
+        all_pairs(len(left), len(right)), k, metric,
     )
 
-
-def _bbox(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return points.min(axis=0), points.max(axis=0)
-
-
-def _boxes_apart(box_a, box_b, theta: float, metric: GroundMetric) -> bool:
-    """True when the minimum box-to-box distance exceeds theta.
-
-    Per axis, the closest pair of points of two intervals is either the
-    facing endpoints (disjoint intervals) or any shared coordinate
-    (overlapping intervals); assembling those coordinates minimises
-    every per-axis difference simultaneously, which attains the minimum
-    box-to-box distance for every coordinate-monotone metric
-    (Euclidean, Chebyshev, ...).
-    """
-    lo_a, hi_a = box_a
-    lo_b, hi_b = box_b
-    near_a = np.where(hi_a < lo_b, hi_a, np.where(hi_b < lo_a, lo_a, np.maximum(lo_a, lo_b)))
-    near_b = np.where(hi_a < lo_b, lo_b, np.where(hi_b < lo_a, hi_b, np.maximum(lo_a, lo_b)))
-    return metric.distance(near_a, near_b) > theta

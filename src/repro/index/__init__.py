@@ -1,7 +1,7 @@
 """Corpus proximity indexing for DFD workloads (:class:`CorpusIndex`).
 
-Per-trajectory summaries -- bounding boxes, endpoints and
-Douglas-Peucker simplifications with exact discrete-Frechet error radii
+Per-trajectory summaries -- endpoints, bounding boxes (aggregated by
+the tree's nodes) and Douglas-Peucker simplifications with exact discrete-Frechet error radii
 -- give admissible DFD lower bounds, and an endpoint grid buckets the
 corpus so similarity joins, top-k closest-pair scans and window
 clustering enumerate only the pairs the index cannot prove apart.  The
@@ -13,6 +13,7 @@ memory so pool tasks carry refs instead of pickled trajectories (see
 from .index import (
     CorpusIndex,
     IndexStats,
+    all_pairs,
     slab_points,
     slab_trajectory,
 )
@@ -27,6 +28,7 @@ from .tree import (
 __all__ = [
     "CorpusIndex",
     "IndexStats",
+    "all_pairs",
     "slab_points",
     "slab_trajectory",
     "DEFAULT_FANOUT",

@@ -13,9 +13,11 @@ pairs before any distance matrix is built.
 
 * **endpoints** -- any coupling matches the first points and the last
   points, so ``d(p_0, q_0) <= DFD`` and ``d(p_last, q_last) <= DFD``;
-* **bounding box** -- every coupled pair is one point from each
-  trajectory, so the minimum box-to-box distance lower-bounds the DFD
-  (coordinate-monotone metrics);
+* **bounding box** -- the tree's node bounds aggregate these
+  (:mod:`repro.index.tree`).  A single pair's box gap never exceeds its
+  start-point distance (each start point lies in its own box), so at
+  item level the box adds nothing to the endpoint bound and is not
+  evaluated;
 * **Douglas-Peucker simplification with its error radius** -- the
   simplification ``A^`` keeps a subsequence of ``A``'s points, and the
   index stores the *exact* discrete Frechet error
@@ -40,7 +42,7 @@ answers equal unindexed answers exactly.
 The index is transport-ready: :meth:`CorpusIndex.transport_slabs`
 exposes the corpus as three contiguous arrays (points, timestamps,
 offsets) that the engine publishes once through its
-:class:`~repro.engine.shm.SharedArrayStore`, so join / top-k tiles and
+:class:`~repro.engine.shm.SharedArrayStore`, so join / top-k chunks and
 corpus-batch tasks carry only a by-reference handle (zero index-array
 pickling; see ``MotifEngine.transfer_info``).  This module deliberately
 imports nothing from :mod:`repro.engine` -- the engine composes it, not
@@ -61,6 +63,7 @@ from ..distances.ground import GroundMetric, get_metric
 from ..errors import ReproError
 from ..trajectory import Trajectory
 from ..trajectory.ops import douglas_peucker
+from ..trajectory.trajectory import validate_points
 from .tree import (
     DEFAULT_FANOUT,
     QuerySummary,
@@ -82,7 +85,6 @@ class IndexStats:
     pairs_total: int = 0
     pruned_grid: int = 0
     pruned_endpoint: int = 0
-    pruned_box: int = 0
     pruned_simplification: int = 0
     candidates: int = 0
     #: Douglas-Peucker summary DPs *built* during this pass (0 when the
@@ -106,7 +108,6 @@ class IndexStats:
         return (
             self.pruned_grid
             + self.pruned_endpoint
-            + self.pruned_box
             + self.pruned_simplification
         )
 
@@ -122,7 +123,6 @@ class IndexStats:
             "pairs_total": self.pairs_total,
             "pruned_grid": self.pruned_grid,
             "pruned_endpoint": self.pruned_endpoint,
-            "pruned_box": self.pruned_box,
             "pruned_simplification": self.pruned_simplification,
             "candidates": self.candidates,
             "summary_builds": self.summary_builds,
@@ -133,10 +133,18 @@ class IndexStats:
 
 
 def _as_points(obj) -> np.ndarray:
-    pts = np.asarray(getattr(obj, "points", obj), dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ReproError("index trajectories must be non-empty (n, d) arrays")
-    return pts
+    return validate_points(getattr(obj, "points", obj))
+
+
+def all_pairs(n_left: int, n_right: int) -> np.ndarray:
+    """Every ``(a, b)`` of an ``n_left x n_right`` grid, left-major.
+
+    The candidate source of unindexed corpus joins, and the grid the
+    index's own pair bounds start from when nothing else prunes.
+    """
+    return np.stack(np.divmod(
+        np.arange(n_left * n_right, dtype=np.int64), max(n_right, 1)
+    ), axis=1)
 
 
 def _as_timestamps(obj, n: int) -> np.ndarray:
@@ -157,10 +165,10 @@ class CorpusIndex:
         originals alive.
     metric:
         Ground metric (name or instance) the bounds are computed under.
-        Grid bucketing and the box bound engage only for
-        *coordinate-monotone* metrics (``metric.coordinate_monotone``,
-        e.g. Euclidean and Chebyshev); the endpoint and simplification
-        bounds are admissible under any ground metric.
+        Grid bucketing engages only for *coordinate-monotone* metrics
+        (``metric.coordinate_monotone``, e.g. Euclidean and Chebyshev);
+        the endpoint and simplification bounds are admissible under any
+        ground metric.
     simplify_frac:
         Douglas-Peucker tolerance as a fraction of each trajectory's
         bounding-box diagonal (the summaries are scale-free).
@@ -426,16 +434,10 @@ class CorpusIndex:
     # ------------------------------------------------------------------
     # Lower bounds
     # ------------------------------------------------------------------
-    def _box_gaps(self, other: "CorpusIndex", a_idx, b_idx) -> np.ndarray:
-        """Per-axis separation of the bounding boxes of paired items."""
-        lo_a, hi_a = self.box_lo[a_idx], self.box_hi[a_idx]
-        lo_b, hi_b = other.box_lo[b_idx], other.box_hi[b_idx]
-        return np.maximum(0.0, np.maximum(lo_b - hi_a, lo_a - hi_b))
-
     def pair_bounds(
         self, other: Optional["CorpusIndex"], a_idx, b_idx
     ) -> np.ndarray:
-        """Vectorised endpoint + box lower bounds for index pairs.
+        """Vectorised endpoint lower bounds for index pairs.
 
         ``a_idx`` / ``b_idx`` are parallel integer arrays; the result is
         an admissible DFD lower bound per pair (no simplification term
@@ -445,14 +447,10 @@ class CorpusIndex:
         a_idx = np.asarray(a_idx, dtype=np.int64)
         b_idx = np.asarray(b_idx, dtype=np.int64)
         m = self.metric
-        lb = np.maximum(
+        return np.maximum(
             m.rowwise(self.starts[a_idx], other.starts[b_idx]),
             m.rowwise(self.ends[a_idx], other.ends[b_idx]),
         )
-        if m.coordinate_monotone:
-            gaps = self._box_gaps(other, a_idx, b_idx)
-            lb = np.maximum(lb, m.rowwise(np.zeros_like(gaps), gaps))
-        return lb
 
     def simplification_bounds(
         self, other: Optional["CorpusIndex"], a_idx, b_idx
@@ -488,7 +486,7 @@ class CorpusIndex:
     ) -> float:
         """Tightest admissible DFD lower bound the index can prove.
 
-        ``max(endpoint, box, simplification)`` -- each term individually
+        ``max(endpoint, simplification)`` -- each term individually
         never exceeds ``DFD(self[i], other[j])`` (property-tested), so
         the max does not either.
         """
@@ -598,21 +596,10 @@ class CorpusIndex:
                 a_idx, b_idx = self._grid_candidates(peer, theta)
                 stats.pruned_grid = stats.pairs_total - len(a_idx)
             else:
-                a_idx, b_idx = np.divmod(
-                    np.arange(self.n * peer.n, dtype=np.int64), peer.n
-                )
+                a_idx, b_idx = all_pairs(self.n, peer.n).T
         if len(a_idx):
-            lbs = self.pair_bounds(other, a_idx, b_idx)
-            keep = lbs <= theta
-            # Endpoint/box are folded into one vectorised pass; split
-            # the accounting so reports show which bound class fired.
-            m = self.metric
-            lb_end = np.maximum(
-                m.rowwise(self.starts[a_idx], peer.starts[b_idx]),
-                m.rowwise(self.ends[a_idx], peer.ends[b_idx]),
-            )
-            stats.pruned_endpoint = int(np.sum(lb_end > theta))
-            stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
+            keep = self.pair_bounds(other, a_idx, b_idx) <= theta
+            stats.pruned_endpoint = int(np.sum(~keep))
             a_idx, b_idx = a_idx[keep], b_idx[keep]
         if len(a_idx):
             self.ensure_summaries()
@@ -643,18 +630,15 @@ class CorpusIndex:
         Top-k closest-pair joins have no fixed threshold to prune
         against up front; instead the scan consumes pairs in ascending
         lower-bound order and stops once the bound exceeds the evolving
-        k-th best distance.  Returns ``(pairs, bounds)`` (endpoint +
-        box bounds; no per-pair simplification DP -- the scan's cascade
+        k-th best distance.  Returns ``(pairs, bounds)`` (endpoint
+        bounds; no per-pair simplification DP -- the scan's cascade
         tightens further).
         """
         peer = self if other is None else other
-        a_idx, b_idx = np.divmod(
-            np.arange(self.n * peer.n, dtype=np.int64), peer.n
-        )
-        lbs = self.pair_bounds(other, a_idx, b_idx)
-        order = np.lexsort((b_idx, a_idx, lbs))
-        pairs = np.stack([a_idx[order], b_idx[order]], axis=1)
-        return np.ascontiguousarray(pairs), np.ascontiguousarray(lbs[order])
+        pairs = all_pairs(self.n, peer.n)
+        lbs = self.pair_bounds(other, pairs[:, 0], pairs[:, 1])
+        order = np.lexsort((pairs[:, 1], pairs[:, 0], lbs))
+        return pairs[order], lbs[order]
 
     def pair_cursor(
         self, other: Optional["CorpusIndex"] = None
@@ -675,25 +659,15 @@ class CorpusIndex:
     # ------------------------------------------------------------------
     # Single-query traversals
     # ------------------------------------------------------------------
-    def _query_bounds(
-        self, q: QuerySummary, items: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(endpoint, endpoint + box)`` lower bounds from ``q`` to items."""
+    def _query_bounds(self, q: QuerySummary, items: np.ndarray) -> np.ndarray:
+        """Endpoint lower bounds from ``q`` to items."""
         m = self.metric
-        lb_end = np.maximum(
+        return np.maximum(
             m.rowwise(np.repeat(q.start[None, :], len(items), axis=0),
                       self.starts[items]),
             m.rowwise(np.repeat(q.end[None, :], len(items), axis=0),
                       self.ends[items]),
         )
-        if not m.coordinate_monotone:
-            return lb_end, lb_end
-        gaps = np.maximum(
-            0.0,
-            np.maximum(self.box_lo[items] - q.box_hi,
-                       q.box_lo - self.box_hi[items]),
-        )
-        return lb_end, np.maximum(lb_end, m.rowwise(np.zeros_like(gaps), gaps))
 
     def _query_simplification_bounds(
         self, q: QuerySummary, items: np.ndarray
@@ -738,10 +712,8 @@ class CorpusIndex:
             built_before = self.summary_builds
             cand = self.ensure_tree().range_candidates(q, radius, stats)
             if len(cand):
-                lb_end, lb = self._query_bounds(q, cand)
-                keep = lb <= radius
-                stats.pruned_endpoint = int(np.sum(lb_end > radius))
-                stats.pruned_box = int(np.sum(~keep)) - stats.pruned_endpoint
+                keep = self._query_bounds(q, cand) <= radius
+                stats.pruned_endpoint = int(np.sum(~keep))
                 cand = cand[keep]
             if len(cand):
                 self.ensure_summaries()
@@ -808,7 +780,7 @@ class CorpusIndex:
             if tree.is_leaf(node):
                 stats.leaves_scanned += 1
                 items = tree.node_items(node)
-                lb_end, lbs = self._query_bounds(q, items)
+                lbs = self._query_bounds(q, items)
                 # The k-th best cut only shrinks while the leaf is
                 # scanned, so the items passing each filter at the cut
                 # in force now include every item the scan below
@@ -826,10 +798,7 @@ class CorpusIndex:
                 for pos, i in enumerate(items.tolist()):
                     cut = kth()
                     if len(best) >= k and lbs[pos] > cut:
-                        if lb_end[pos] > cut:
-                            stats.pruned_endpoint += 1
-                        else:
-                            stats.pruned_box += 1
+                        stats.pruned_endpoint += 1
                         continue
                     if len(best) >= k and simp_lbs[pos] > cut:
                         stats.pruned_simplification += 1

@@ -192,7 +192,6 @@ def _encode_join_stats(stats) -> dict:
         "pairs_total": int(stats.pairs_total),
         "pruned_index": int(stats.pruned_index),
         "pruned_endpoint": int(stats.pruned_endpoint),
-        "pruned_bbox": int(stats.pruned_bbox),
         "pruned_hausdorff": int(stats.pruned_hausdorff),
         "decisions": int(stats.decisions),
         "accepted_upper": int(stats.accepted_upper),

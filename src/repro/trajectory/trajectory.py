@@ -42,8 +42,15 @@ def fingerprint_array(arr: np.ndarray) -> str:
     Interned: a corpus' fingerprints sit in every cache key built over
     it, and re-fingerprinting the same corpus per request would
     otherwise make each cached key hold its own copy of every string.
+
+    Negative zeros hash as positive zeros, so arrays that compare equal
+    element-wise get equal fingerprints (what :meth:`Trajectory.__hash__`
+    needs to agree with ``__eq__``).  Arrays without a ``-0.0`` hash
+    their bytes unchanged.
     """
     arr = np.ascontiguousarray(arr)
+    if arr.dtype.kind == "f" and np.count_nonzero(arr) < arr.size:
+        arr = arr + 0.0  # -0.0 + 0.0 == +0.0; every other value is kept
     digest = hashlib.sha1()
     digest.update(repr(arr.shape).encode())
     digest.update(str(arr.dtype).encode())
@@ -71,15 +78,16 @@ def _immutable(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_point_array(points: ArrayLike) -> np.ndarray:
-    """Validate and normalise a point sequence into an immutable ``(n, d)`` array."""
+def validate_points(points: ArrayLike) -> np.ndarray:
+    """``points`` as a float64 ``(n, d)`` array, or a :class:`TrajectoryError`.
+
+    Checks a 2-D shape, at least one row, at least two coordinates per
+    row and finite values.  Trajectories run it on construction; the
+    corpus workloads (joins and the corpus index) run it on raw arrays
+    too, so every join path rejects the same input with the same error.
+    The array is not copied.
+    """
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1:
-        # Accept a flat sequence of 2-tuples mistakenly squeezed, but only
-        # when it can be interpreted unambiguously as (n, 1) -- reject.
-        raise TrajectoryError(
-            f"points must be a 2-D array of shape (n, d); got shape {arr.shape}"
-        )
     if arr.ndim != 2:
         raise TrajectoryError(
             f"points must be a 2-D array of shape (n, d); got shape {arr.shape}"
@@ -90,10 +98,14 @@ def _as_point_array(points: ArrayLike) -> np.ndarray:
         raise TrajectoryError(
             f"points need at least 2 coordinates per row; got {arr.shape[1]}"
         )
-    arr = _immutable(arr)
     if not np.isfinite(arr).all():
         raise TrajectoryError("points contain NaN or infinite coordinates")
     return arr
+
+
+def _as_point_array(points: ArrayLike) -> np.ndarray:
+    """Validate and normalise a point sequence into an immutable ``(n, d)`` array."""
+    return _immutable(validate_points(points))
 
 
 def _as_timestamp_array(timestamps: ArrayLike, n: int) -> np.ndarray:

@@ -173,13 +173,13 @@ class TestEngineExecutor:
         assert info["shm_live_segments"] == 0
 
     def test_count_transfer_accounts_index_payloads(self):
-        from repro.engine.worker import PairsJoinTask
+        from repro.engine.worker import JoinPairsChunkTask
 
         exec_ = EngineExecutor("inline")
         pairs = np.zeros((4, 2), dtype=np.int64)
         pts = [np.zeros((5, 2)), np.zeros((3, 2))]
         exec_.count_transfer([
-            PairsJoinTask(theta=1.0, metric="euclidean", pairs=pairs,
+            JoinPairsChunkTask(theta=1.0, metric="euclidean", pairs=pairs,
                           left_points=pts)
         ])
         info = exec_.transfer_info()

@@ -13,6 +13,7 @@ Covers the engine's warm-worker contract:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -27,13 +28,12 @@ from repro.core import MotifTimeout, discover_motif
 from repro.engine import (
     MotifEngine,
     SharedArrayStore,
-    SharedMatrixStore,
     plan_strides,
-    plan_tiles,
     shared_memory_available,
 )
 from repro.engine.engine import _fork_context
 from repro.engine.shm import attach_matrix, attach_slabs
+from repro.extensions.join import JoinStats, similarity_join
 from repro.testing import random_walk, random_walk_points
 from repro.trajectory import Trajectory
 
@@ -94,7 +94,7 @@ class TestWarmWorkers:
         pool map completes, so a full store refuses (cold fallback)
         rather than evicting same-batch segments; older batches are
         fair game."""
-        store = SharedMatrixStore(capacity=2)
+        store = SharedArrayStore(capacity=2)
         arr = np.ones((2, 2))
         store.begin_batch()
         ref_a, _ = store.publish("a", arr)
@@ -124,7 +124,7 @@ class TestWarmWorkers:
             assert {r.stats.oracle_source for r in lazy} == {"lazy"}
 
     def test_attach_cache_reuses_mapping(self):
-        store = SharedMatrixStore()
+        store = SharedArrayStore()
         arr = np.arange(12.0).reshape(3, 4)
         ref, created = store.publish("key", arr)
         assert created and ref is not None
@@ -326,12 +326,25 @@ class TestSegmentLifecycle:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
+    @staticmethod
+    def _assert_silent_exit(code: str) -> None:
+        """Run ``code`` in a fresh interpreter; it must exit cleanly
+        with a silent resource tracker (no 'leaked shared_memory'
+        warnings, no KeyError tracebacks)."""
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "leaked shared_memory" not in proc.stderr, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+
     def test_no_resource_tracker_complaints(self):
-        """End-to-end leak check: a fresh interpreter that uses the
-        warm paths and closes the engine must exit with a silent
-        resource tracker (no 'leaked shared_memory' warnings, no
-        KeyError tracebacks)."""
-        code = textwrap.dedent(
+        """End-to-end leak check over the warm paths."""
+        self._assert_silent_exit(
             """
             from repro.engine import MotifEngine
             from repro.testing import random_walk
@@ -345,16 +358,24 @@ class TestSegmentLifecycle:
                                   min_length=3, algorithm="btm")
             """
         )
-        src_dir = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, timeout=120,
+
+    def test_pool_forked_before_any_segment_shares_the_tracker(self):
+        """Regression: a cold batch forks the pool before the parent
+        has created any segment.  Workers forked without the parent's
+        tracker start their own, which at exit 'cleans up' segments
+        the parent already unlinked -- here the tree join's corpus and
+        pair slabs."""
+        self._assert_silent_exit(
+            """
+            from repro.engine import MotifEngine
+            from repro.testing import random_walk
+
+            corpus = [random_walk(30, seed=s) for s in range(12)]
+            with MotifEngine(workers=2) as eng:
+                eng.discover_many(corpus[:4], min_length=3, algorithm="btm")
+                eng.join(corpus, corpus, 2.0, index="tree")
+            """
         )
-        assert proc.returncode == 0, proc.stderr
-        assert "leaked shared_memory" not in proc.stderr, proc.stderr
-        assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -421,27 +442,28 @@ class TestTimeoutHygiene:
 
 
 # ----------------------------------------------------------------------
-# Tile planning (sharded join)
+# Unindexed join: the all-pairs source through the pair-chunk dispatch
 # ----------------------------------------------------------------------
-class TestPlanTiles:
-    def test_covers_every_pair_exactly_once(self):
-        tiles = plan_tiles(5, 7, 6)
-        seen = [
-            (int(a), int(b))
-            for left_idx, right_idx in tiles
-            for a in left_idx
-            for b in right_idx
-        ]
-        assert sorted(seen) == [(a, b) for a in range(5) for b in range(7)]
-        assert len(seen) == len(set(seen))
-
-    def test_degenerate_single_left_still_parallel(self):
-        """Regression: left-only chunking gave one trajectory on the
-        left zero parallelism; the tile grid splits the right side."""
-        tiles = plan_tiles(1, 12, 4)
-        assert len(tiles) >= 4
-        assert all(len(left_idx) == 1 for left_idx, _ in tiles)
-
-    def test_caps_at_pair_count(self):
-        assert len(plan_tiles(2, 2, 64)) <= 4
-        assert plan_tiles(0, 5, 4) == []
+@needs_shm
+class TestUnindexedJoinPipeline:
+    def test_single_left_deals_zero_copy_pair_chunks(self):
+        """A 1 x 12 join still parallelises: its all-pairs candidate
+        list is dealt in pair chunks whose tasks carry refs into the
+        published corpus slabs, not pickled trajectories.  Matches and
+        every statistics field equal the serial unindexed join."""
+        left = [random_walk_points(15, seed=1)]
+        right = [random_walk_points(15, seed=s) for s in range(2, 14)]
+        ref_matches, ref_stats = similarity_join(left, right, 5.0,
+                                                 index=False)
+        with MotifEngine(workers=2) as eng:
+            matches, stats = eng.join(left, right, 5.0, index=False)
+            info = eng.transfer_info()
+        assert info["pool_tasks"] >= 2
+        assert info["shm_index_refs"] > 0
+        assert info["index_bytes_pickled"] == 0
+        assert matches == ref_matches
+        assert ref_stats.decisions > 0 and ref_stats.pruned_endpoint > 0
+        for field in dataclasses.fields(JoinStats):
+            assert getattr(stats, field.name) == getattr(
+                ref_stats, field.name
+            ), field.name

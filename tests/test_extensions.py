@@ -152,30 +152,7 @@ class TestSimilarityJoin:
         near = [rng.normal(size=(20, 2)) for _ in range(3)]
         far = [rng.normal(size=(20, 2)) + 500.0 for _ in range(3)]
         _, stats = similarity_join(near, far, theta=1.0)
-        assert stats.pruned_endpoint + stats.pruned_bbox == stats.pairs_total
-
-    def test_boxes_apart_exact_for_chebyshev(self):
-        """The closest-point box construction is exact for every
-        coordinate-monotone metric, so the filter now engages for
-        Chebyshev too (it used to run only under Euclidean)."""
-        from repro.distances.ground import get_metric
-        from repro.extensions.join import _bbox, _boxes_apart
-
-        m = get_metric("chebyshev")
-        assert m.coordinate_monotone
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            p = rng.uniform(-10, 10, size=(6, 2))
-            q = rng.uniform(-10, 10, size=(6, 2))
-            theta = float(rng.uniform(0.1, 15.0))
-            # Exactness: the decision equals the brute-force min
-            # point-to-point distance between the boxes' corners/edges,
-            # which the all-pairs point distance lower-bounds.
-            min_pair = m.pairwise(p, q).min()
-            if _boxes_apart(_bbox(p), _bbox(q), theta, m):
-                assert min_pair > theta  # never prunes a feasible pair
-        # Haversine stays outside the gate.
-        assert not get_metric("haversine").coordinate_monotone
+        assert stats.pruned_endpoint == stats.pairs_total
 
     def test_chebyshev_join_matches_naive(self):
         rng = np.random.default_rng(9)

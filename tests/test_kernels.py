@@ -40,14 +40,19 @@ from repro.distances import (
 from repro.distances.kernels import dfd_pairs
 from repro.engine import MotifEngine
 from repro.errors import TrajectoryError
-from repro.extensions.join import JoinStats, merge_join_stats, similarity_join
+from repro.extensions.join import (
+    JoinStats,
+    join_top_k,
+    merge_join_stats,
+    similarity_join,
+)
 from repro.service import MotifService, ServiceClient, make_server
 from repro.trajectory import Trajectory
 
 METRICS = ("euclidean", "chebyshev", "haversine")
 
 COUNTERS = (
-    "pairs_total", "pruned_index", "pruned_endpoint", "pruned_bbox",
+    "pairs_total", "pruned_index", "pruned_endpoint",
     "pruned_hausdorff", "decisions", "accepted_upper", "matches",
 )
 
@@ -288,6 +293,37 @@ def test_every_join_path_rejects_a_nan_trajectory(index, workers):
             eng.join(corpus, corpus, 2.0, index=index)
     with pytest.raises(TrajectoryError):
         similarity_join(corpus, corpus, 2.0, index=bool(index))
+
+
+def bad_points(kind: str) -> np.ndarray:
+    if kind == "empty":
+        return np.empty((0, 2))
+    if kind == "one_column":
+        return np.arange(6.0).reshape(6, 1)
+    pts = np.zeros((6, 2))
+    pts[2, 0] = np.nan
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["empty", "one_column", "nan"])
+@pytest.mark.parametrize("index", [False, "grid", "tree"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_join_verb_rejects_bad_points_the_same_way(kind, index,
+                                                         workers):
+    """One input check: threshold and top-k joins raise the same
+    ``TrajectoryError`` for every index mode and worker count."""
+    rng = np.random.default_rng(1)
+    corpus = [rng.normal(size=(10, 2)).cumsum(axis=0) for _ in range(6)]
+    corpus[3] = bad_points(kind)
+    with MotifEngine(workers=workers, result_cache_size=0) as eng:
+        with pytest.raises(TrajectoryError):
+            eng.join(corpus, corpus, 2.0, index=index)
+        with pytest.raises(TrajectoryError):
+            eng.join_top_k(corpus, corpus, k=3, index=index)
+    with pytest.raises(TrajectoryError):
+        similarity_join(corpus, corpus, 2.0, index=bool(index))
+    with pytest.raises(TrajectoryError):
+        join_top_k(corpus, corpus, k=3)
 
 
 # ----------------------------------------------------------------------

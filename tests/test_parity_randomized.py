@@ -156,7 +156,6 @@ def test_join_parity(inline_engine, seed):
         assert got_matches == ref_matches
         assert got_stats.pairs_total == ref_stats.pairs_total
         assert got_stats.pruned_endpoint == ref_stats.pruned_endpoint
-        assert got_stats.pruned_bbox == ref_stats.pruned_bbox
         assert got_stats.pruned_hausdorff == ref_stats.pruned_hausdorff
         assert got_stats.decisions == ref_stats.decisions
         assert got_stats.matches == ref_stats.matches
@@ -186,7 +185,6 @@ def test_indexed_join_parity(inline_engine, seed):
         assert got_stats.pairs_total == idx_stats.pairs_total
         assert got_stats.pruned_index == idx_stats.pruned_index
         assert got_stats.pruned_endpoint == idx_stats.pruned_endpoint
-        assert got_stats.pruned_bbox == idx_stats.pruned_bbox
         assert got_stats.pruned_hausdorff == idx_stats.pruned_hausdorff
         assert got_stats.decisions == idx_stats.decisions
         assert got_stats.matches == idx_stats.matches

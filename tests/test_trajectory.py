@@ -254,6 +254,18 @@ class TestOwnership:
         assert hash(Trajectory(a)) != hash(Trajectory(a, crs="latlon"))
         assert len({Trajectory(a), Trajectory(a.tolist()), make(4)}) == 1
 
+    def test_hash_agrees_with_equality_on_signed_zeros(self):
+        from repro.trajectory.trajectory import fingerprint_array
+
+        pos = Trajectory([[0.0, 0.0], [1.0, 1.0]])
+        neg = Trajectory([[-0.0, 0.0], [1.0, 1.0]])
+        assert pos == neg
+        assert hash(pos) == hash(neg)
+        assert len({pos, neg}) == 1
+        assert fingerprint_array(np.array([-0.0, 2.0])) == (
+            fingerprint_array(np.array([0.0, 2.0]))
+        )
+
     def test_pickle_roundtrip_stays_immutable(self):
         import pickle
 

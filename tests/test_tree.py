@@ -232,16 +232,10 @@ class TestRangeKnnParity:
 def _filter_bounds(index, q, items):
     m = index.metric
     n = len(items)
-    lb_end = np.maximum(
+    return np.maximum(
         m.rowwise(np.repeat(q.start[None, :], n, axis=0), index.starts[items]),
         m.rowwise(np.repeat(q.end[None, :], n, axis=0), index.ends[items]),
     )
-    lbs = lb_end
-    if m.coordinate_monotone:
-        gaps = np.maximum(0.0, np.maximum(index.box_lo[items] - q.box_hi,
-                                          q.box_lo - index.box_hi[items]))
-        lbs = np.maximum(lbs, m.rowwise(np.zeros_like(gaps), gaps))
-    return lb_end, lbs
 
 
 def _simp_bound(index, q, i):
@@ -261,9 +255,8 @@ def sequential_range(index, query, radius):
     q = index.summarize_query(query)
     cand = index.ensure_tree().range_candidates(q, radius, stats)
     if len(cand):
-        lb_end, lbs = _filter_bounds(index, q, cand)
-        stats.pruned_endpoint = int(np.sum(lb_end > radius))
-        stats.pruned_box = int(np.sum(lbs > radius)) - stats.pruned_endpoint
+        lbs = _filter_bounds(index, q, cand)
+        stats.pruned_endpoint = int(np.sum(lbs > radius))
         cand = cand[lbs <= radius]
     if len(cand):
         keep = [_simp_bound(index, q, int(i)) <= radius for i in cand]
@@ -298,14 +291,11 @@ def sequential_knn(index, query, k):
         if tree.is_leaf(node):
             stats.leaves_scanned += 1
             items = tree.node_items(node)
-            lb_end, lbs = _filter_bounds(index, q, items)
+            lbs = _filter_bounds(index, q, items)
             for pos, i in enumerate(items.tolist()):
                 full = len(best) >= k
                 if full and lbs[pos] > kth():
-                    if lb_end[pos] > kth():
-                        stats.pruned_endpoint += 1
-                    else:
-                        stats.pruned_box += 1
+                    stats.pruned_endpoint += 1
                     continue
                 if full and _simp_bound(index, q, i) > kth():
                     stats.pruned_simplification += 1
